@@ -10,11 +10,6 @@
  *   --seed S           suite base seed
  *   --jobs N           sweep worker threads (0 = hardware concurrency,
  *                      1 = serial; results are bit-identical either way)
- *   --fused            fuse all policy legs of a trace into one chunked
- *                      walk of its decoded stream (or GHRP_FUSED=1);
- *                      results are bit-identical to per-leg runs, the
- *                      stream is just read from memory once per trace
- *                      instead of once per policy
  *   --trace-cache DIR  content-addressed trace store directory
  *                      (default: the GHRP_TRACE_CACHE environment
  *                      variable; traces are generated in memory when
@@ -51,7 +46,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
-#include <string_view>
 #include <vector>
 
 #include "core/cli.hh"
@@ -128,11 +122,6 @@ suiteOptions(const core::CliOptions &cli, std::uint32_t default_traces,
     options.instructionOverride =
         cli.getUint("instructions", default_instructions);
     options.jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    options.fused = cli.has("fused");
-    if (!options.fused)
-        if (const char *env = std::getenv("GHRP_FUSED"); env && *env &&
-            std::string_view(env) != "0")
-            options.fused = true;
     options.traceCacheDir = cli.getString("trace-cache", "");
     options.slowLegMs = cli.getDouble("slow-leg-ms", 0.0);
     options.base.phaseWindow = cli.getUint("phase-window", 0);

@@ -3,8 +3,7 @@
  * Micro-benchmark (google-benchmark): per-access software cost of each
  * replacement policy on the I-cache model, of GHRP's prediction
  * primitives, of the decoded-stream front-end path against the
- * per-leg walker path and the fused all-policies walk, and of trace
- * acquisition through the
+ * per-leg walker path, and of trace acquisition through the
  * content-addressed store (cold generate-and-persist vs. warm mmap),
  * and of the telemetry hot paths (counter add, histogram observe,
  * disabled/enabled spans) that back the subsystem's low-overhead
@@ -24,7 +23,6 @@
 #include "cache/basic_policies.hh"
 #include "cache/cache.hh"
 #include "frontend/frontend.hh"
-#include "frontend/fused.hh"
 #include "predictor/ghrp.hh"
 #include "predictor/sdbp.hh"
 #include "telemetry/metrics.hh"
@@ -213,34 +211,6 @@ BM_LegDecodedPreResolved(benchmark::State &state)
                             static_cast<std::int64_t>(dec.numFetchOps()));
 }
 BENCHMARK(BM_LegDecodedPreResolved)->Unit(benchmark::kMillisecond);
-
-/**
- * All nine policies over the pre-resolved stream in ONE fused chunked
- * walk (frontend::FusedSim). Items = fetch ops x lanes, so items/s is
- * directly comparable with the per-leg numbers above: the fused walk
- * should push more simulated accesses per second than nine separate
- * BM_LegDecodedPreResolved legs because the decoded chunk is pulled
- * from memory once per group instead of once per leg.
- */
-void
-BM_LegFused(benchmark::State &state)
-{
-    trace::DecodedTrace dec = trace::decodeTrace(benchTrace(), 64, 4);
-    frontend::resolveDirectionStream(
-        dec, frontend::DirectionKind::HashedPerceptron);
-    const std::vector<frontend::PolicySpec> policies(
-        frontend::allPolicyKinds().begin(),
-        frontend::allPolicyKinds().end());
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(frontend::simulateFused(
-            benchConfig(frontend::PolicyKind::Lru), policies, dec));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(dec.numFetchOps()) *
-        static_cast<std::int64_t>(policies.size()));
-}
-BENCHMARK(BM_LegFused)->Unit(benchmark::kMillisecond);
 
 /** Cost of the decode itself (amortised once over all legs of a
  *  trace). */

@@ -76,9 +76,6 @@ knownCliFlags()
         {"seed", "suite base seed"},
         {"jobs",
          "sweep worker threads (0 = hardware concurrency, 1 = serial)"},
-        {"fused",
-         "fuse all policy legs of a trace into one walk of its decoded "
-         "stream (or GHRP_FUSED=1); results are bit-identical"},
         {"trace-cache",
          "content-addressed trace store directory (or GHRP_TRACE_CACHE)"},
         {"leg-times", "print the per-leg wall-time table"},

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 
-#include "frontend/fused.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "util/logging.hh"
@@ -131,7 +130,6 @@ struct SweepMetrics
     telemetry::Counter &legs;
     telemetry::Counter &slowLegs;
     telemetry::Counter &tracesDecoded;
-    telemetry::Counter &fusedGroups;
     telemetry::Histogram &legSeconds;
     telemetry::Histogram &decodeSeconds;
 };
@@ -143,7 +141,6 @@ sweepMetrics()
         telemetry::metrics().counter("sweep.legs"),
         telemetry::metrics().counter("sweep.slow_legs"),
         telemetry::metrics().counter("sweep.traces_decoded"),
-        telemetry::metrics().counter("sweep.fused_groups"),
         telemetry::metrics().histogram("sweep.leg_seconds"),
         telemetry::metrics().histogram("sweep.decode_seconds"),
     };
@@ -229,54 +226,6 @@ class SweepSink
         out.legSeconds[policy][trace_index] = elapsed.count();
         tick(trace_index, policy, &out.results[policy][trace_index],
              elapsed.count());
-    }
-
-    /**
-     * Fused counterpart of running every policy leg of one trace:
-     * journaled legs are ticked and dropped from the lane set, the
-     * remaining lanes are simulated in one FusedSim walk of the shared
-     * stream, and each lane's result lands in the same slot a per-leg
-     * run would fill — bit-identically, since lanes execute the
-     * per-leg stepwise code on independent state. Group wall time is
-     * split evenly across lanes for the per-leg timing views.
-     */
-    void
-    runFusedGroup(std::size_t trace_index, const trace::DecodedTrace &dec)
-    {
-        std::vector<frontend::PolicySpec> lanes;
-        lanes.reserve(options.policies.size());
-        for (const frontend::PolicySpec &policy : options.policies) {
-            if (hooks.skipLeg && hooks.skipLeg(trace_index, policy))
-                tick(trace_index, policy, nullptr, 0.0);
-            else
-                lanes.push_back(policy);
-        }
-        if (lanes.empty() || (hooks.cancelled && hooks.cancelled()))
-            return;
-
-        const auto start = std::chrono::steady_clock::now();
-        std::vector<frontend::FrontendResult> results = [&] {
-            TELEMETRY_SPAN("simulate-fused",
-                           out.specs[trace_index].name + " / " +
-                               std::to_string(lanes.size()) + " lanes");
-            return frontend::simulateFused(options.base, lanes, dec);
-        }();
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        sweepMetrics().fusedGroups.add();
-        const double per_lane =
-            elapsed.count() / static_cast<double>(lanes.size());
-
-        for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-            const frontend::PolicySpec &policy = lanes[lane];
-            sweepMetrics().legs.add();
-            sweepMetrics().legSeconds.observeSeconds(per_lane);
-            results[lane].traceName = out.specs[trace_index].name;
-            out.results[policy][trace_index] = std::move(results[lane]);
-            out.legSeconds[policy][trace_index] = per_lane;
-            tick(trace_index, policy,
-                 &out.results[policy][trace_index], per_lane);
-        }
     }
 
   private:
@@ -432,12 +381,8 @@ runSerial(SweepSink &sink, const SuiteResults &out,
         // resolved here too instead of once per leg.
         const DecodedPtr dec = buildDecoded(out.specs[i], options, store,
                                             hooks);
-        if (options.fused) {
-            sink.runFusedGroup(i, *dec);
-        } else {
-            for (const frontend::PolicySpec &policy : options.policies)
-                sink.runLeg(i, policy, *dec);
-        }
+        for (const frontend::PolicySpec &policy : options.policies)
+            sink.runLeg(i, policy, *dec);
     }
 }
 
@@ -497,23 +442,12 @@ runParallel(SweepSink &sink, const SuiteResults &out,
             break;  // cancelled before this trace's build was scheduled
         const DecodedPtr dec = builds[i].get();  // rethrows build errors
         builds[i] = {};
-        if (options.fused) {
-            // One job per trace-group: the fused walk simulates every
-            // remaining lane of this trace in one pass, so the unit of
-            // scheduling grows from a leg to a group while the window/
-            // harvest bookkeeping stays unchanged.
-            legs[i].push_back(submitLeased(pool, throttle, [&sink, i,
-                                                            dec]() {
-                sink.runFusedGroup(i, *dec);
-            }));
-        } else {
-            legs[i].reserve(options.policies.size());
-            for (const frontend::PolicySpec &policy : options.policies)
-                legs[i].push_back(submitLeased(
-                    pool, throttle, [&sink, i, policy, dec]() {
-                        sink.runLeg(i, policy, *dec);
-                    }));
-        }
+        legs[i].reserve(options.policies.size());
+        for (const frontend::PolicySpec &policy : options.policies)
+            legs[i].push_back(submitLeased(
+                pool, throttle, [&sink, i, policy, dec]() {
+                    sink.runLeg(i, policy, *dec);
+                }));
         // Keep at most `window` traces with outstanding legs before
         // opening new builds, then harvest (and rethrow from) the
         // oldest trace's legs.

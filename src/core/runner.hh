@@ -50,23 +50,6 @@ struct SuiteOptions
     unsigned jobs = 0;
 
     /**
-     * Fused execution: simulate all policy legs of a trace in ONE
-     * chunked walk of its decoded stream (frontend::FusedSim) instead
-     * of one walk per leg, so the stream is pulled from memory once
-     * per trace-group rather than once per policy. Scheduling
-     * granularity changes from (trace, policy) legs to trace-groups —
-     * with jobs > 1, each group is one pool job. Results are
-     * bit-identical to the per-leg path for every policy and jobs
-     * value: lanes share no mutable state and step through the exact
-     * per-leg simulation code. RunHooks semantics are preserved —
-     * journaled legs are skipped (dropped from the group's lane set)
-     * and onLegDone still fires once per simulated leg. Per-leg
-     * timing becomes the group wall time split evenly across lanes
-     * (timing is outside the determinism guarantee).
-     */
-    bool fused = false;
-
-    /**
      * Directory for the content-addressed trace store. Empty falls back
      * to the GHRP_TRACE_CACHE environment variable; if that is also
      * unset the store is disabled and every trace is generated in

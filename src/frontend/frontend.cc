@@ -440,7 +440,8 @@ addPhaseDelta(frontend::PhaseRecord &into,
 } // anonymous namespace
 
 void
-FrontendSim::phaseCapture(PhaseRecord &out) const
+FrontendSim::phaseCapture(PhaseRecord &out,
+                          const FrontendResult &live) const
 {
     const stats::AccessStats &ic = icache->accessStats();
     const stats::AccessStats &bt = btb->accessStats();
@@ -450,9 +451,9 @@ FrontendSim::phaseCapture(PhaseRecord &out) const
     out.btbAccesses = bt.accesses;
     out.btbMisses = bt.misses;
     out.btbEvictions = bt.evictions;
-    out.condBranches = pending.condBranches;
-    out.condMispredicts = pending.condMispredicts;
-    out.btbTargetMismatches = pending.btbTargetMismatches;
+    out.condBranches = live.condBranches;
+    out.condMispredicts = live.condMispredicts;
+    out.btbTargetMismatches = live.btbTargetMismatches;
     const cache::PredictionOutcomes oi =
         icache->policy().predictionOutcomes();
     const cache::PredictionOutcomes ob =
@@ -464,14 +465,14 @@ FrontendSim::phaseCapture(PhaseRecord &out) const
 }
 
 void
-FrontendSim::phaseFoldReset()
+FrontendSim::phaseFoldReset(const FrontendResult &live)
 {
     // The warm-up boundary zeroes the cache stats and branch counters
     // mid-window. Bank the interval accumulated so far, then rebase
     // the snapshot after the caller's resets so the window's counts
     // stay exact across the discontinuity.
     PhaseRecord cur;
-    phaseCapture(cur);
+    phaseCapture(cur, live);
     addPhaseDelta(phaseCarry, cur, phaseSnapshot);
     phaseSnapshot = PhaseRecord{};
     // Prediction outcomes are monotone (policies are not reset); keep
@@ -483,10 +484,10 @@ FrontendSim::phaseFoldReset()
 }
 
 void
-FrontendSim::phaseSample(std::uint64_t cum)
+FrontendSim::phaseSample(std::uint64_t cum, const FrontendResult &live)
 {
     PhaseRecord cur;
-    phaseCapture(cur);
+    phaseCapture(cur, live);
     addPhaseDelta(phasePending, cur, phaseSnapshot);
     addPhaseCounters(phasePending, phaseCarry);
     phaseCarry = PhaseRecord{};
@@ -522,34 +523,24 @@ FrontendSim::phaseSample(std::uint64_t cum)
 FrontendResult
 FrontendSim::run(const trace::DecodedTrace &dec)
 {
-    beginRun(dec);
-    const std::size_t n = dec.numRecords();
-    for (std::size_t i = 0; i < n; ++i)
-        stepRecord(dec, i);
-    return finishRun();
-}
-
-void
-FrontendSim::beginRun(const trace::DecodedTrace &dec)
-{
     // The decoded stream bakes in the fetch granularity; a mismatched
     // configuration would silently simulate the wrong block stream.
     GHRP_ASSERT(dec.blockBytes == cfg.icache.blockBytes);
     GHRP_ASSERT(dec.instBytes == cfg.instBytes);
 
-    pending = FrontendResult{};
-    pending.traceName = dec.name;
-    pending.policy = policyName(cfg.policy);
+    FrontendResult result;
+    result.traceName = dec.name;
+    result.policy = policyName(cfg.policy);
 
-    pending.totalInstructions = dec.totalInstructions();
-    pending.warmupInstructions = std::min<std::uint64_t>(
+    result.totalInstructions = dec.totalInstructions();
+    result.warmupInstructions = std::min<std::uint64_t>(
         static_cast<std::uint64_t>(
             cfg.warmupFraction *
-            static_cast<double>(pending.totalInstructions)),
+            static_cast<double>(result.totalInstructions)),
         cfg.warmupCapInstructions);
 
-    pendingWarm = pending.warmupInstructions == 0;
-    pendingBlockMask = ~static_cast<Addr>(cfg.icache.blockBytes - 1);
+    bool warm = result.warmupInstructions == 0;
+    const Addr block_mask = ~static_cast<Addr>(cfg.icache.blockBytes - 1);
 
     // Arm the phase flight recorder; a saturated boundary keeps the
     // per-record check to one always-false compare when it is off.
@@ -565,137 +556,125 @@ FrontendSim::beginRun(const trace::DecodedTrace &dec)
     // A pre-resolved direction stream replaces the per-leg predictor
     // simulation when it was resolved with this leg's predictor kind;
     // otherwise the predictor runs live (identical results, more work).
-    pendingPreResolved =
+    const bool pre_resolved =
         dec.hasDirectionStream() &&
         dec.directionKind == static_cast<int>(cfg.direction);
-}
 
-void
-FrontendSim::stepRecord(const trace::DecodedTrace &dec, std::size_t i)
-{
-    FrontendResult &result = pending;
-    const Addr block_mask = pendingBlockMask;
-    const bool pre_resolved = pendingPreResolved;
-
-    // ---- fetch ops of the run ending at this branch ------------
-    // Fetch-buffer coalescing already happened at decode time; every
-    // op here is a real I-cache access.
-    const std::uint64_t op_end = dec.opBegin[i + 1];
-    for (std::uint64_t op = dec.opBegin[i]; op < op_end; ++op) {
-        const Addr fetch_pc = dec.fetchPc[op];
-        const Addr block_addr = fetch_pc & block_mask;
-        const cache::AccessOutcome out =
-            icache->access(block_addr, fetch_pc);
-        if (!out.hit && cfg.nextLinePrefetch > 0) {
-            for (std::uint32_t p = 1; p <= cfg.nextLinePrefetch; ++p)
-                icache->prefetch(
-                    block_addr +
-                        static_cast<Addr>(p) * cfg.icache.blockBytes,
-                    fetch_pc);
-        }
-        if (ghrpPredictor) {
-            // The fetch-address stream updates both the speculative
-            // and the retired path history; in a trace-driven model
-            // fetch and commit coincide.
-            ghrpPredictor->updateSpecHistory(fetch_pc);
-            ghrpPredictor->updateRetiredHistory(fetch_pc);
-        }
-    }
-
-    const Addr pc = dec.brPc[i];
-    const Addr target = dec.brTarget[i];
-    const std::uint8_t meta = dec.brMeta[i];
-    const bool taken = trace::branch_meta::taken(meta);
-
-    // ---- direction prediction ----------------------------------
-    if (trace::branch_meta::conditional(meta)) {
-        ++result.condBranches;
-        bool predicted;
-        if (pre_resolved) {
-            predicted = dec.dirPredictedTaken[i] != 0;
-        } else {
-            predicted = direction->predict(pc);
-            direction->update(pc, taken);
-        }
-        const bool mispredicted = predicted != taken;
-        if (mispredicted)
-            ++result.condMispredicts;
-
-        if (mispredicted && ghrpPredictor) {
-            // Model wrong-path pollution of the speculative history
-            // and its recovery from the retired history.
-            const Addr wrong_base =
-                predicted ? target : pc + cfg.instBytes;
-            for (std::uint32_t w = 0; w < cfg.wrongPathNoise; ++w)
-                ghrpPredictor->updateSpecHistory(
-                    wrong_base + static_cast<Addr>(w) * cfg.instBytes);
-            if (cfg.recoverGhrpHistory)
-                ghrpPredictor->recoverHistory();
-        }
-    }
-
-    // ---- BTB and RAS -------------------------------------------
-    if (taken) {
-        if (trace::branch_meta::isReturn(meta) && cfg.useRas) {
-            ++result.rasReturns;
-            if (ras.pop() != target)
-                ++result.rasMispredicts;
-        } else {
-            // Indirect target prediction: the indirect predictor
-            // (when attached) overrides the BTB's last-seen target.
-            if (trace::branch_meta::indirect(meta)) {
-                ++result.indirectBranches;
-                std::optional<Addr> predicted;
-                if (indirect)
-                    predicted = indirect->predict(pc);
-                if (!predicted)
-                    predicted = btb->predictTarget(pc);
-                if (!predicted || *predicted != target)
-                    ++result.indirectMispredicts;
-                if (indirect)
-                    indirect->update(pc, target);
+    const std::size_t n = dec.numRecords();
+    for (std::size_t i = 0; i < n; ++i) {
+        // ---- fetch ops of the run ending at this branch ------------
+        // Fetch-buffer coalescing already happened at decode time; every
+        // op here is a real I-cache access.
+        const std::uint64_t op_end = dec.opBegin[i + 1];
+        for (std::uint64_t op = dec.opBegin[i]; op < op_end; ++op) {
+            const Addr fetch_pc = dec.fetchPc[op];
+            const Addr block_addr = fetch_pc & block_mask;
+            const cache::AccessOutcome out =
+                icache->access(block_addr, fetch_pc);
+            if (!out.hit && cfg.nextLinePrefetch > 0) {
+                for (std::uint32_t p = 1; p <= cfg.nextLinePrefetch; ++p)
+                    icache->prefetch(
+                        block_addr +
+                            static_cast<Addr>(p) * cfg.icache.blockBytes,
+                        fetch_pc);
             }
-            const branch::BtbResult br = btb->accessTaken(pc, target);
-            if (br.hit && !br.targetMatched)
-                ++result.btbTargetMismatches;
+            if (ghrpPredictor) {
+                // The fetch-address stream updates both the speculative
+                // and the retired path history; in a trace-driven model
+                // fetch and commit coincide.
+                ghrpPredictor->updateSpecHistory(fetch_pc);
+                ghrpPredictor->updateRetiredHistory(fetch_pc);
+            }
+        }
+
+        const Addr pc = dec.brPc[i];
+        const Addr target = dec.brTarget[i];
+        const std::uint8_t meta = dec.brMeta[i];
+        const bool taken = trace::branch_meta::taken(meta);
+
+        // ---- direction prediction ----------------------------------
+        if (trace::branch_meta::conditional(meta)) {
+            ++result.condBranches;
+            bool predicted;
+            if (pre_resolved) {
+                predicted = dec.dirPredictedTaken[i] != 0;
+            } else {
+                predicted = direction->predict(pc);
+                direction->update(pc, taken);
+            }
+            const bool mispredicted = predicted != taken;
+            if (mispredicted)
+                ++result.condMispredicts;
+
+            if (mispredicted && ghrpPredictor) {
+                // Model wrong-path pollution of the speculative history
+                // and its recovery from the retired history.
+                const Addr wrong_base =
+                    predicted ? target : pc + cfg.instBytes;
+                for (std::uint32_t w = 0; w < cfg.wrongPathNoise; ++w)
+                    ghrpPredictor->updateSpecHistory(
+                        wrong_base + static_cast<Addr>(w) * cfg.instBytes);
+                if (cfg.recoverGhrpHistory)
+                    ghrpPredictor->recoverHistory();
+            }
+        }
+
+        // ---- BTB and RAS -------------------------------------------
+        if (taken) {
+            if (trace::branch_meta::isReturn(meta) && cfg.useRas) {
+                ++result.rasReturns;
+                if (ras.pop() != target)
+                    ++result.rasMispredicts;
+            } else {
+                // Indirect target prediction: the indirect predictor
+                // (when attached) overrides the BTB's last-seen target.
+                if (trace::branch_meta::indirect(meta)) {
+                    ++result.indirectBranches;
+                    std::optional<Addr> predicted;
+                    if (indirect)
+                        predicted = indirect->predict(pc);
+                    if (!predicted)
+                        predicted = btb->predictTarget(pc);
+                    if (!predicted || *predicted != target)
+                        ++result.indirectMispredicts;
+                    if (indirect)
+                        indirect->update(pc, target);
+                }
+                const branch::BtbResult br = btb->accessTaken(pc, target);
+                if (br.hit && !br.targetMatched)
+                    ++result.btbTargetMismatches;
+            }
+        }
+        if (trace::branch_meta::call(meta) && taken && cfg.useRas)
+            ras.push(pc + cfg.instBytes);
+
+        // ---- warm-up boundary ---------------------------------------
+        if (!warm &&
+            dec.cumInstructions[i] >= result.warmupInstructions) {
+            warm = true;
+            if (phaseNextBoundary != ~std::uint64_t{0})
+                phaseFoldReset(result);
+            icache->resetStats();
+            btb->resetStats();
+            result.condBranches = 0;
+            result.condMispredicts = 0;
+            result.btbTargetMismatches = 0;
+            result.rasReturns = 0;
+            result.rasMispredicts = 0;
+            result.indirectBranches = 0;
+            result.indirectMispredicts = 0;
+        }
+
+        // ---- phase flight recorder ----------------------------------
+        if (dec.cumInstructions[i] >= phaseNextBoundary) {
+            const std::uint64_t cum = dec.cumInstructions[i];
+            phaseSample(cum, result);
+            do {
+                phaseNextBoundary += cfg.phaseWindow;
+                ++phaseWindowId;
+            } while (cum >= phaseNextBoundary);
         }
     }
-    if (trace::branch_meta::call(meta) && taken && cfg.useRas)
-        ras.push(pc + cfg.instBytes);
-
-    // ---- warm-up boundary ---------------------------------------
-    if (!pendingWarm &&
-        dec.cumInstructions[i] >= result.warmupInstructions) {
-        pendingWarm = true;
-        if (phaseNextBoundary != ~std::uint64_t{0})
-            phaseFoldReset();
-        icache->resetStats();
-        btb->resetStats();
-        result.condBranches = 0;
-        result.condMispredicts = 0;
-        result.btbTargetMismatches = 0;
-        result.rasReturns = 0;
-        result.rasMispredicts = 0;
-        result.indirectBranches = 0;
-        result.indirectMispredicts = 0;
-    }
-
-    // ---- phase flight recorder ----------------------------------
-    if (dec.cumInstructions[i] >= phaseNextBoundary) {
-        const std::uint64_t cum = dec.cumInstructions[i];
-        phaseSample(cum);
-        do {
-            phaseNextBoundary += cfg.phaseWindow;
-            ++phaseWindowId;
-        } while (cum >= phaseNextBoundary);
-    }
-}
-
-FrontendResult
-FrontendSim::finishRun()
-{
-    FrontendResult result = std::move(pending);
-    pending = FrontendResult{};
 
     result.measuredInstructions =
         result.totalInstructions >= result.warmupInstructions

@@ -193,8 +193,8 @@ struct FrontendConfig
      * dead-block prediction outcomes, duel PSEL) and are bounded by a
      * 128-slot decimating sampler, so memory stays O(1) per leg and
      * the trajectory is a pure function of the access stream —
-     * bit-identical across --jobs, fused lanes, crash resume and
-     * sweep shard merges.
+     * bit-identical across --jobs, crash resume and sweep shard
+     * merges.
      */
     std::uint64_t phaseWindow = 0;
 };
@@ -328,21 +328,6 @@ class FrontendSim
      */
     FrontendResult runWalker(const trace::Trace &trace);
 
-    /**
-     * Stepwise interface under run(DecodedTrace): beginRun() primes a
-     * fresh simulation of @p decoded, stepRecord() consumes record i
-     * (records must be fed in order, exactly once each), finishRun()
-     * seals and returns the statistics. run(decoded) is exactly
-     * beginRun + stepRecord(0..n) + finishRun; the fused executor uses
-     * the pieces directly to interleave many policy lanes over one
-     * chunked walk of the shared stream, which is why results are
-     * bit-identical to a per-leg run by construction. Like run(), a
-     * sim instance is good for one begin/finish cycle.
-     */
-    void beginRun(const trace::DecodedTrace &decoded);
-    void stepRecord(const trace::DecodedTrace &decoded, std::size_t i);
-    FrontendResult finishRun();
-
     /** Heat-map trackers (non-null only when trackEfficiency). */
     stats::EfficiencyTracker *icacheTracker() { return icacheEff.get(); }
     stats::EfficiencyTracker *btbTracker() { return btbEff.get(); }
@@ -368,20 +353,15 @@ class FrontendSim
     std::unique_ptr<stats::EfficiencyTracker> icacheEff;
     std::unique_ptr<stats::EfficiencyTracker> btbEff;
 
-    /** In-flight state of a beginRun/stepRecord/finishRun cycle. */
-    FrontendResult pending;
-    bool pendingWarm = false;
-    bool pendingPreResolved = false;
-    Addr pendingBlockMask = 0;
-
     // ---- phase flight recorder (see FrontendConfig::phaseWindow) ----
-    /** Cumulative counters at @p out, read from the live structures. */
-    void phaseCapture(PhaseRecord &out) const;
+    /** Cumulative counters at @p out, read from the live structures
+     *  and the in-flight branch counters of @p live. */
+    void phaseCapture(PhaseRecord &out, const FrontendResult &live) const;
     /** Fold counts about to be discarded by a stats reset into the
      *  carry, then rebase the snapshot on the post-reset values. */
-    void phaseFoldReset();
+    void phaseFoldReset(const FrontendResult &live);
     /** Close the raw window ending at @p cum instructions. */
-    void phaseSample(std::uint64_t cum);
+    void phaseSample(std::uint64_t cum, const FrontendResult &live);
 
     std::uint64_t phaseNextBoundary = ~std::uint64_t{0};
     std::uint64_t phaseWindowId = 0;

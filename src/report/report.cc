@@ -797,7 +797,6 @@ suiteOptionsToJson(const core::SuiteOptions &options)
     j.set("baseSeed", options.baseSeed);
     j.set("instructionOverride", options.instructionOverride);
     j.set("jobs", options.jobs);
-    j.set("fused", options.fused);
     j.set("traceCacheDir", options.traceCacheDir);
     Json policies = Json::array();
     for (const frontend::PolicySpec &policy : options.policies)
@@ -830,9 +829,6 @@ suiteOptionsFromJson(const Json &json)
         options.instructionOverride =
             json.at("instructionOverride").asUint();
         options.jobs = static_cast<unsigned>(json.at("jobs").asUint());
-        // Optional: reports older than the fused executor lack it.
-        if (const Json *fused = json.find("fused"))
-            options.fused = fused->asBool();
         options.traceCacheDir = json.at("traceCacheDir").asString();
         options.policies.clear();
         for (const Json &name : json.at("policies").asArray())
@@ -1175,14 +1171,13 @@ mergeShardReports(const std::string &experiment,
         throw ReportError("merge: no shard reports");
 
     // Two shards belong to the same cell iff their options agree on
-    // everything that can change results: policy subset, jobs, fused
-    // and the trace cache are execution knobs with a bit-identical
-    // guarantee, so they are normalized away before comparing.
+    // everything that can change results: policy subset, jobs and the
+    // trace cache are execution knobs with a bit-identical guarantee,
+    // so they are normalized away before comparing.
     const auto cellIdentity = [](const core::SuiteOptions &o) {
         core::SuiteOptions norm = o;
         norm.policies.clear();
         norm.jobs = 0;
-        norm.fused = false;
         norm.verbose = false;
         norm.slowLegMs = 0.0;
         norm.traceCacheDir.clear();

@@ -305,7 +305,7 @@ RunReport buildSuiteReport(const std::string &experiment,
  * report an in-process runSuite over @p options would have produced.
  * Each shard must be a suite report over the same cell (numTraces,
  * baseSeed, instruction override, frontend config — everything except
- * the policy subset, jobs and cache/fused execution knobs, which never
+ * the policy subset, jobs and trace-cache execution knobs, which never
  * affect results) carrying some subset of the cell's (trace, policy)
  * legs. The legs are reassembled into their runner slots via
  * toFrontendResult — the same injection path crash resume uses — so

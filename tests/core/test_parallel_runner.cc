@@ -179,4 +179,58 @@ TEST(ParallelRunner, SingleLegSuiteRuns)
               0.0);
 }
 
+TEST(ParallelRunner, SkipHookSimulatesOnlyRemainingLegs)
+{
+    // Journal-resume shape: mark some legs as already done; the runner
+    // must simulate exactly the remaining legs, tick progress for all,
+    // and report onLegDone only for the simulated ones.
+    const auto skip = [](std::size_t trace_index,
+                         const frontend::PolicySpec &policy) {
+        return trace_index == 0 ||
+               policy == frontend::PolicySpec(frontend::PolicyKind::Random);
+    };
+    core::SuiteOptions plain = smallSuite(3);
+    plain.numTraces = 2;
+    plain.jobs = 1;
+    const core::SuiteResults reference = core::runSuite(plain);
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
+        core::SuiteOptions options = plain;
+        options.jobs = jobs;
+
+        core::RunHooks hooks;
+        hooks.skipLeg = skip;
+        // onLegDone and progress are serialised by the runner, so the
+        // counters need no lock even at jobs > 1.
+        std::size_t done_legs = 0;
+        hooks.onLegDone = [&](std::size_t trace_index,
+                              const frontend::PolicySpec &policy,
+                              const frontend::FrontendResult &, double) {
+            EXPECT_FALSE(skip(trace_index, policy));
+            ++done_legs;
+        };
+
+        std::size_t ticks = 0;
+        const core::SuiteResults results = core::runSuite(
+            options,
+            [&](std::size_t, std::size_t, const std::string &) { ++ticks; },
+            hooks);
+
+        const std::size_t policies = options.policies.size();
+        EXPECT_EQ(ticks, 2 * policies);      // skipped legs still tick
+        EXPECT_EQ(done_legs, policies - 1);  // trace 1, minus Random
+        // Skipped slots stay default-initialized (the caller's journal
+        // fills them); simulated slots match a plain run.
+        const auto &lru = results.results.at(frontend::PolicyKind::Lru);
+        const auto &ref = reference.results.at(frontend::PolicyKind::Lru);
+        EXPECT_EQ(lru[0].icache.accesses, 0u);
+        expectStatsIdentical(lru[1].icache, ref[1].icache);
+        expectStatsIdentical(lru[1].btb, ref[1].btb);
+        EXPECT_EQ(lru[1].icacheMpki, ref[1].icacheMpki);
+        EXPECT_EQ(lru[1].btbMpki, ref[1].btbMpki);
+        EXPECT_EQ(lru[1].condMispredicts, ref[1].condMispredicts);
+    }
+}
+
 } // anonymous namespace

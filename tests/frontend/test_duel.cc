@@ -5,7 +5,7 @@
  * (duel:X,X must be bit-identical to plain X for every self-contained
  * policy — forwarding to both constituents keeps the loser's metadata
  * synchronized, so an identical constituent changes nothing), dueling
- * telemetry harvest, and fused-vs-per-leg bit identity for duel lanes.
+ * and telemetry harvest.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "frontend/fused.hh"
+#include "frontend/frontend.hh"
 #include "workload/suite.hh"
 
 namespace
@@ -191,48 +191,6 @@ TEST(DuelFrontend, PselBoundIsHonoredAtExtremeSettings)
         EXPECT_LE(r.icacheDuel.finalPsel, bound) << spec;
         EXPECT_GE(r.icacheDuel.finalPsel, -bound) << spec;
         EXPECT_GT(r.icache.accesses, 0u);
-    }
-}
-
-// ---- fused execution ---------------------------------------------
-
-TEST(DuelFused, FusedLanesMatchPerLegRunsBitExactly)
-{
-    const trace::Trace tr = shortTrace(3);
-    FrontendConfig base;
-    trace::DecodedTrace dec =
-        trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
-    resolveDirectionStream(dec, base.direction);
-
-    const std::vector<PolicySpec> lanes = {
-        PolicyKind::Lru,
-        parsePolicySpec("duel:lru,srrip"),
-        PolicyKind::Ghrp,
-        parsePolicySpec("duel:ghrp,lru"),
-        parsePolicySpec("duel:sdbp,ship,psel=255,leaders=16"),
-    };
-    const std::vector<FrontendResult> fused =
-        simulateFused(base, lanes, dec);
-    ASSERT_EQ(fused.size(), lanes.size());
-
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        FrontendConfig cfg = base;
-        cfg.policy = lanes[i];
-        const FrontendResult leg = simulateDecoded(cfg, dec);
-        expectIdenticalCounters(leg, fused[i], policyName(lanes[i]));
-        EXPECT_EQ(leg.hasDuel, fused[i].hasDuel);
-        if (leg.hasDuel) {
-            EXPECT_EQ(leg.icacheDuel.finalPsel,
-                      fused[i].icacheDuel.finalPsel);
-            EXPECT_EQ(leg.icacheDuel.trajectory,
-                      fused[i].icacheDuel.trajectory);
-            EXPECT_EQ(leg.btbDuel.finalPsel,
-                      fused[i].btbDuel.finalPsel);
-            EXPECT_EQ(leg.btbDuel.leaderMissesA,
-                      fused[i].btbDuel.leaderMissesA);
-            EXPECT_EQ(leg.btbDuel.leaderMissesB,
-                      fused[i].btbDuel.leaderMissesB);
-        }
     }
 }
 

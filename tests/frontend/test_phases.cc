@@ -2,8 +2,7 @@
  * @file
  * Tests for the phase flight recorder at the front-end layer: a zero
  * window disables sampling and perturbs nothing, sampling produces
- * monotone interval records, fused lanes reproduce per-leg
- * trajectories bit-identically, and the 128-slot decimating sampler
+ * monotone interval records, and the 128-slot decimating sampler
  * bounds memory at 1M-instruction scale while keeping power-of-two
  * strides.
  */
@@ -14,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "frontend/fused.hh"
+#include "frontend/frontend.hh"
 #include "workload/suite.hh"
 
 namespace
@@ -158,35 +157,6 @@ TEST(Phases, SamplesMonotoneIntervalRecordsDeterministically)
     const FrontendResult again = simulateTrace(cfg, tr);
     ASSERT_TRUE(again.hasPhases);
     expectSameTrajectory(r.phases, again.phases);
-}
-
-TEST(Phases, FusedLanesMatchPerLegTrajectoriesBitExactly)
-{
-    const trace::Trace tr = phaseTrace(2);
-    FrontendConfig base;
-    base.phaseWindow = 5'000;
-    trace::DecodedTrace dec =
-        trace::decodeTrace(tr, base.icache.blockBytes, base.instBytes);
-    resolveDirectionStream(dec, base.direction);
-
-    const std::vector<PolicySpec> lanes = {
-        PolicyKind::Lru,
-        PolicyKind::Ghrp,
-        parsePolicySpec("duel:ghrp,lru"),
-    };
-    const std::vector<FrontendResult> fused =
-        simulateFused(base, lanes, dec);
-    ASSERT_EQ(fused.size(), lanes.size());
-
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        SCOPED_TRACE(policyName(lanes[i]));
-        FrontendConfig cfg = base;
-        cfg.policy = lanes[i];
-        const FrontendResult leg = simulateDecoded(cfg, dec);
-        ASSERT_TRUE(leg.hasPhases);
-        ASSERT_TRUE(fused[i].hasPhases);
-        expectSameTrajectory(leg.phases, fused[i].phases);
-    }
 }
 
 TEST(Phases, DecimationBoundsRecordsAtMillionInstructionScale)

@@ -164,10 +164,11 @@ TEST(DuelReport, BuildSuiteReportSynthesizesOracleAndDuelingExtras)
                      duel_mean);
     EXPECT_DOUBLE_EQ(
         entry->at("icache").at("oracleMeanMpki").asDouble(), mean_min);
-    if (mean_min > 0.0)
+    if (mean_min > 0.0) {
         EXPECT_DOUBLE_EQ(
             entry->at("icache").at("vsOraclePct").asDouble(),
             (duel_mean - mean_min) / mean_min * 100.0);
+    }
     ASSERT_EQ(entry->at("perTrace").size(), lru.size());
     const Json &first = entry->at("perTrace").asArray()[0];
     EXPECT_NE(first.at("icache").find("finalPsel"), nullptr);

@@ -539,12 +539,10 @@ TEST(Service, WatchStreamsProgressToTerminalStatus)
  * over the same journal directory resumes the job, re-simulating only
  * the missing legs (every leg is journaled exactly once across both
  * lives). The final report's legs must be bit-identical to an
- * uninterrupted in-process PER-LEG run of the same options — for a
- * fused job too, where the kill lands mid-group and the resume fuses
- * only the lanes the journal is missing.
+ * uninterrupted in-process run of the same options.
  */
 void
-sigkillResumeCase(const std::string &scratch, bool fused,
+sigkillResumeCase(const std::string &scratch,
                   std::uint64_t phase_window = 0)
 {
     const std::string dir = scratchDir(scratch);
@@ -552,7 +550,6 @@ sigkillResumeCase(const std::string &scratch, bool fused,
     // Big enough that the kill lands mid-job with wide margin: 30
     // legs at several milliseconds each.
     core::SuiteOptions options = smallSuite(6, 8'000'000);
-    options.fused = fused;
     options.base.phaseWindow = phase_window;
 
     const auto spawn_daemon = [&cfg]() -> pid_t {
@@ -622,11 +619,7 @@ sigkillResumeCase(const std::string &scratch, bool fused,
     EXPECT_EQ(countRecords(journal_path, "leg"), total_legs);
     EXPECT_EQ(countRecords(journal_path, "done"), 1u);
 
-    // Reference legs always come from the per-leg path, so the fused
-    // case additionally pins fused == per-leg across a crash boundary.
-    core::SuiteOptions per_leg = options;
-    per_leg.fused = false;
-    const core::SuiteResults local = core::runSuite(per_leg);
+    const core::SuiteResults local = core::runSuite(options);
     const report::RunReport reference =
         report::buildSuiteReport("fig03_icache_scurve", options, local);
     EXPECT_EQ(normalizedDump(served), normalizedDump(reference));
@@ -642,19 +635,14 @@ sigkillResumeCase(const std::string &scratch, bool fused,
 
 TEST(Service, SigkillMidJobResumesFromJournal)
 {
-    sigkillResumeCase("crash", false);
-}
-
-TEST(Service, SigkillMidFusedJobResumesFromJournal)
-{
-    sigkillResumeCase("crash-fused", true);
+    sigkillResumeCase("crash");
 }
 
 TEST(Service, SigkillMidPhaseJobResumesBitIdenticalTrajectories)
 {
     // Journaled legs carry their phase records; the resumed report's
     // trajectories must be bit-identical to an uninterrupted run.
-    sigkillResumeCase("crash-phases", false, 100'000);
+    sigkillResumeCase("crash-phases", 100'000);
 }
 
 } // anonymous namespace

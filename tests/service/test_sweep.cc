@@ -139,7 +139,7 @@ TEST(Service, MergedShardReportsMatchUnshardedReport)
         report::mergeShardReports("merge-test", cell, duplicated),
         report::ReportError);
 
-    // A shard from a different cell (other seed) must be refused.
+    // A shard from a different cell (other seed) must be rejected.
     core::SuiteOptions other = cell;
     other.baseSeed = 43;
     other.policies = {frontend::PolicyKind::Lru};

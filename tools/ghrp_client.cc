@@ -3,9 +3,8 @@
  * ghrp-client: command-line client of the sweep-serving daemon.
  *
  *   ghrp-client submit --socket PATH [--experiment NAME] [--traces N]
- *       [--seed S] [--instructions M] [--jobs N] [--fused]
- *       [--phase-window N] [--priority P] [--timeout SEC] [--wait]
- *       [--out FILE]
+ *       [--seed S] [--instructions M] [--jobs N] [--phase-window N]
+ *       [--priority P] [--timeout SEC] [--wait] [--out FILE]
  *       Submit a suite sweep (fig03-style defaults). With --wait,
  *       stream progress until the job finishes, then fetch the run
  *       report (to --out FILE, else stdout). The wait loop reconnects
@@ -35,7 +34,7 @@
  *   ghrp-client shutdown --socket PATH
  *
  *   ghrp-client sweep (--daemons S1,S2,... | --daemons-file FILE)
- *       [--experiment NAME] [--traces N] [--instructions M] [--fused]
+ *       [--experiment NAME] [--traces N] [--instructions M]
  *       [--seeds A,B,...] [--policies P,Q,...] [--shard-attempts N]
  *       [--poll-ms MS] [--timeout SEC] [--out-dir DIR | --out FILE]
  *       Expand the (seeds x policies) grid into per-policy shards,
@@ -77,8 +76,8 @@ usage()
         stderr,
         "usage: ghrp-client submit --socket PATH [--experiment NAME]\n"
         "           [--traces N] [--seed S] [--instructions M] [--jobs N]\n"
-        "           [--fused] [--phase-window N] [--priority P]\n"
-        "           [--timeout SEC] [--wait] [--out FILE]\n"
+        "           [--phase-window N] [--priority P] [--timeout SEC]\n"
+        "           [--wait] [--out FILE]\n"
         "       ghrp-client status|watch|result|cancel --socket PATH"
         " --job ID [--out FILE] [--phases]\n"
         "       ghrp-client metrics --socket PATH [--prometheus]"
@@ -86,7 +85,7 @@ usage()
         "       ghrp-client ping|shutdown --socket PATH\n"
         "       ghrp-client sweep (--daemons LIST | --daemons-file F)\n"
         "           [--experiment NAME] [--traces N] [--instructions M]\n"
-        "           [--fused] [--seeds A,B,...] [--policies P,Q,...]\n"
+        "           [--seeds A,B,...] [--policies P,Q,...]\n"
         "           [--shard-attempts N] [--poll-ms MS] [--timeout SEC]\n"
         "           [--out-dir DIR | --out FILE]\n");
     return 2;
@@ -259,7 +258,6 @@ cmdSubmit(service::ServiceClient &client, const core::CliOptions &cli)
     options.baseSeed = cli.getUint("seed", 42);
     options.instructionOverride = cli.getUint("instructions", 0);
     options.jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    options.fused = cli.has("fused");
     options.base.phaseWindow = cli.getUint("phase-window", 0);
 
     report::Json request = service::makeMessage("submit");
@@ -380,7 +378,6 @@ cmdSweep(const core::CliOptions &cli)
     grid.base.numTraces =
         static_cast<std::uint32_t>(cli.getUint("traces", 24));
     grid.base.instructionOverride = cli.getUint("instructions", 0);
-    grid.base.fused = cli.has("fused");
     for (const std::string &token :
          splitList(cli.getString("seeds", "42")))
         grid.seeds.push_back(std::stoull(token));
