@@ -494,8 +494,10 @@ plotFiles(const RunReport &report)
             dat += std::to_string(r + 1);
             for (const std::string &policy : order) {
                 const std::vector<double> &mpki = columns[policy];
-                dat += r < mpki.size() ? " " + fmt("%.6f", mpki[r])
-                                       : " nan";
+                // Appended piecewise: `" " + std::string&&` trips a
+                // libstdc++ -Wrestrict false positive at -O2.
+                dat += ' ';
+                dat += r < mpki.size() ? fmt("%.6f", mpki[r]) : "nan";
             }
             dat += "\n";
         }
@@ -558,10 +560,10 @@ plotFiles(const RunReport &report)
                     leg->duelIcache.trajectory;
                 const std::vector<std::int64_t> &bt =
                     leg->duelBtb.trajectory;
-                dat += r < ic.size() ? " " + std::to_string(ic[r])
-                                     : " nan";
-                dat += r < bt.size() ? " " + std::to_string(bt[r])
-                                     : " nan";
+                dat += ' ';
+                dat += r < ic.size() ? std::to_string(ic[r]) : "nan";
+                dat += ' ';
+                dat += r < bt.size() ? std::to_string(bt[r]) : "nan";
             }
             dat += "\n";
         }

@@ -33,10 +33,11 @@
  *
  * Minor 1 added the metrics request and the elapsedSeconds member of
  * progress events; both are invisible to minor-0 peers. Minor 2 added
- * the leasedThreads member of jobStatus (the running job's share of
- * the daemon's --total-threads budget), equally invisible to older
- * peers. Minor 3 added the optional phase member of progress events —
- * the latest finished leg's newest flight-recorder record (serialized
+ * the leasedThreads member of jobStatus (the running job's cap on
+ * in-flight tasks in the daemon's --total-threads pool), equally
+ * invisible to older peers. Minor 3 added the optional phase member
+ * of progress events — the latest finished leg's newest
+ * flight-recorder record (serialized
  * like a report phase record, plus trace/policy/window) when the job
  * runs with a non-zero phase window — which `ghrp-client watch
  * --phases` renders as a rolling readout; older peers ignore it.

@@ -2,19 +2,19 @@
  * @file
  * The sweep-serving daemon core: accepts jobs over a unix-domain
  * socket (service/protocol), queues them with bounded backpressure,
- * executes them one at a time on the shared suite runner, journals
- * every completed leg (service/journal) and streams progress to
- * watching clients.
+ * executes each through core::runSuite, journals every completed leg
+ * (service/journal) and streams progress to watching clients.
  *
  * Threading model: one poll()-driven network thread (run()) owns all
  * sockets and the job table; a scheduler of N coordinator threads
  * (--max-active) executes up to N jobs concurrently. All simulation
  * work runs on ONE shared thread pool sized to the global budget
- * (--total-threads): each starting job leases threads from that
- * budget — lease = clamp(requested jobs, 1, free budget) — and the
- * lease caps the job's in-flight pool tasks, so small jobs pack
- * alongside large ones instead of serializing behind them while the
- * pool's OS thread count never exceeds the budget. Coordinators
+ * (--total-threads). Each starting job gets a lease of
+ * clamp(requested jobs, 1, budget) that caps its in-flight pool
+ * tasks; leases are not subtracted from each other, so concurrent
+ * jobs interleave in the pool's queue and a job started while another
+ * runs still uses the whole pool once it is alone. The pool's OS
+ * thread count never exceeds the budget. Coordinators
  * communicate with the network thread through a mutex-protected event
  * queue plus a wakeup pipe, and requestStop() is async-signal-safe (a
  * single write to a self-pipe), so SIGTERM handlers can call it
@@ -29,10 +29,12 @@
  * into their slots, so the final report matches an uninterrupted run
  * leg for leg.
  *
- * Warm-daemon speedups: one TraceStore and one LRU cache of decoded
- * traces (keyed by content, granularity and direction predictor) are
- * shared across jobs, so repeated sweeps skip generation and decode
- * entirely.
+ * Trace acquisition: every job runs runSuite with the daemon's own
+ * --trace-cache directory (a client-supplied path is never used), so
+ * served jobs take the same TraceStore + direction-sidecar path as
+ * in-process runs: warm traces skip generation and direction
+ * resolution, and each trace is decoded once per job and shared by
+ * all of the job's policy legs.
  */
 
 #ifndef GHRP_SERVICE_SERVER_HH
@@ -43,7 +45,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,7 +58,6 @@
 #include "service/journal.hh"
 #include "service/protocol.hh"
 #include "util/thread_pool.hh"
-#include "workload/trace_store.hh"
 
 namespace ghrp::service
 {
@@ -67,12 +67,12 @@ struct ServerConfig
 {
     std::string socketPath;   ///< unix-domain socket to listen on
     std::string journalDir;   ///< per-job journals + final reports
-    std::string traceCacheDir;  ///< shared TraceStore root ("" = env)
+    std::string traceCacheDir;  ///< TraceStore root of every job ("" = env)
 
     /** Default thread request of jobs submitted with jobs == 0; 0
      *  requests the whole budget. The scheduler clamps every request
-     *  to the free budget at start (min 1), so this is a ceiling, not
-     *  a reservation. */
+     *  to [1, budget] at start, so this is a ceiling, not a
+     *  reservation. */
     unsigned jobs = 0;
 
     /** Global simulation thread budget: the size of the one pool
@@ -92,9 +92,6 @@ struct ServerConfig
     unsigned retryAfterSeconds = 5;
 
     FsyncPolicy fsync = FsyncPolicy::EveryRecord;
-
-    /** Decoded traces kept hot across jobs (LRU); 0 disables. */
-    std::size_t decodedCacheTraces = 32;
 
     /** Test hook: start with the scheduler paused so queue behaviour
      *  (backpressure, priorities) is deterministic; resumeWorker()
@@ -184,7 +181,7 @@ class ServiceServer
                  report::Leg>
             recoveredLegs;
 
-        /** Threads leased from the global budget while running. */
+        /** In-flight pool task cap while running (the lease). */
         unsigned leasedThreads = 0;
 
         /** Newest flight-recorder record of the latest finished leg
@@ -244,9 +241,6 @@ class ServiceServer
     void workerMain();
     void executeJob(const std::string &job_id, unsigned lease);
     void postEvent(Event event);
-    std::shared_ptr<const trace::DecodedTrace>
-    cachedDecoded(const workload::TraceSpec &spec,
-                  const core::SuiteOptions &options);
 
     // --- startup ----------------------------------------------------
     void recoverJournals();
@@ -262,8 +256,7 @@ class ServiceServer
     /** Seen by the worker's cancellation hook from runner threads. */
     std::atomic<bool> stopRequested{false};
 
-    /** Guards jobs, queue, counters, leases and scheduler pause
-     *  state. */
+    /** Guards jobs, queue, counters and scheduler pause state. */
     std::mutex jobsMutex;
     std::condition_variable workerCv;
     std::map<std::string, Job> jobs;
@@ -279,11 +272,6 @@ class ServiceServer
     /** Resolved budget/concurrency (start()); immutable afterwards. */
     unsigned totalThreads = 0;
     unsigned maxActiveJobs = 0;
-    /** Threads currently leased (jobsMutex). Can transiently exceed
-     *  totalThreads because every admitted job gets at least one —
-     *  the pool still never runs more than totalThreads OS threads;
-     *  excess leases only interleave in its queue. */
-    unsigned leasedThreads = 0;
     unsigned activeJobs = 0;  ///< jobs in state Running (jobsMutex)
 
     /** The one pool all concurrent jobs lease simulation threads
@@ -293,16 +281,6 @@ class ServiceServer
 
     std::mutex eventsMutex;
     std::deque<Event> events;
-
-    /** Shared across jobs: the warm-daemon fast path. */
-    workload::TraceStore traceStore;
-    std::mutex decodedMutex;
-    struct DecodedEntry
-    {
-        std::uint64_t key;
-        std::shared_ptr<const trace::DecodedTrace> trace;
-    };
-    std::list<DecodedEntry> decodedLru;  ///< front = most recent
 };
 
 } // namespace ghrp::service

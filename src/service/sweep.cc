@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <thread>
 
@@ -36,62 +35,17 @@ requestOnce(const std::string &socket, const report::Json &message,
     return reply;
 }
 
-/**
- * Live load of one daemon from its telemetry: (queued + running jobs)
- * weighted by the observed mean job wall time, so a daemon chewing on
- * minute-long sweeps scores heavier than one clearing small jobs at
- * the same queue depth. Negative means unreachable.
- */
-double
-daemonLoadScore(const std::string &socket, double connect_timeout)
-{
-    std::optional<report::Json> reply;
-    try {
-        reply = requestOnce(socket, makeMessage("metrics"),
-                            connect_timeout);
-    } catch (const ProtocolError &) {
-        return -1.0;
-    }
-    if (!reply)
-        return -1.0;
-
-    double queued = 0.0;
-    double active = 0.0;
-    double mean_job_seconds = 1.0;
-    if (const report::Json *m = reply->find("metrics")) {
-        if (const report::Json *gauges = m->find("gauges")) {
-            if (const report::Json *v =
-                    gauges->find("service.queue_depth"))
-                queued = v->asDouble();
-            if (const report::Json *v =
-                    gauges->find("service.active_jobs"))
-                active = v->asDouble();
-        }
-        if (const report::Json *hists = m->find("histograms"))
-            if (const report::Json *h =
-                    hists->find("service.job_seconds")) {
-                const double count =
-                    static_cast<double>(h->at("count").asUint());
-                if (count > 0)
-                    mean_job_seconds = std::max(
-                        h->at("sumSeconds").asDouble() / count, 0.05);
-            }
-    }
-    return (queued + active) * mean_job_seconds;
-}
-
-/** One (cell, policy) unit of campaign work. */
+/** One cell of campaign work: a whole seed with all of the grid's
+ *  policies, so each trace is decoded once per campaign. */
 struct Shard
 {
     std::size_t cell = 0;
-    frontend::PolicySpec policy = frontend::PolicyKind::Lru;
-    core::SuiteOptions options;  ///< cell options with one policy
-    std::string daemon;          ///< socket it currently runs on
+    std::string daemon;  ///< socket it currently runs on
     std::string jobId;
     unsigned attempts = 0;
     bool done = false;
     report::RunReport report;
-    std::string label;  ///< "cell N / policy" for log lines
+    std::string label;  ///< "seed N" for log lines
 };
 
 } // anonymous namespace
@@ -146,56 +100,42 @@ runSweepCampaign(const SweepGrid &grid, const SweepOptions &options)
         outcome.cellOptions.push_back(std::move(cell));
     }
 
-    std::vector<Shard> shards;
-    for (std::size_t c = 0; c < outcome.cellOptions.size(); ++c)
-        for (const frontend::PolicySpec &policy : policies) {
-            Shard shard;
-            shard.cell = c;
-            shard.policy = policy;
-            shard.options = outcome.cellOptions[c];
-            shard.options.policies = {policy};
-            shard.label = "seed " + std::to_string(seeds[c]) + " / " +
-                          frontend::policyName(policy);
-            shards.push_back(std::move(shard));
-        }
+    std::vector<Shard> shards(outcome.cellOptions.size());
+    for (std::size_t c = 0; c < shards.size(); ++c) {
+        shards[c].cell = c;
+        shards[c].label = "seed " + std::to_string(seeds[c]);
+    }
     outcome.shards = shards.size();
 
-    // Locally tracked in-flight shards per daemon: keeps consecutive
-    // submits from dog-piling one daemon between telemetry updates.
+    // This campaign's in-flight shards per daemon: the load signal.
     std::map<std::string, unsigned> outstanding;
     for (const std::string &daemon : options.daemons)
         outstanding[daemon] = 0;
 
-    // Submit one shard to the least-loaded live daemon, skipping
-    // @p avoid (the daemon that just lost it) unless nothing else is
-    // up. Returns whether any daemon accepted it.
+    // Submit one shard to the daemon with the fewest of this
+    // campaign's shards outstanding, skipping @p avoid (the daemon
+    // that just lost it) unless it is the only one; the connect below
+    // skips daemons that are down. Returns whether any daemon accepted.
     const auto submitShard = [&](Shard &shard,
                                  const std::string &avoid) -> bool {
-        std::vector<std::pair<double, std::string>> ranked;
-        for (const std::string &daemon : options.daemons) {
-            const double score =
-                daemonLoadScore(daemon, options.connectTimeoutSeconds);
-            if (score < 0)
-                continue;  // down this round
-            ranked.emplace_back(score + outstanding[daemon],
-                                daemon);
-        }
+        std::vector<std::string> ranked = options.daemons;
         std::stable_sort(ranked.begin(), ranked.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.first < b.first;
+                         [&outstanding](const std::string &a,
+                                        const std::string &b) {
+                             return outstanding.at(a) < outstanding.at(b);
                          });
         if (ranked.size() > 1 && !avoid.empty())
             std::stable_partition(ranked.begin(), ranked.end(),
-                                  [&avoid](const auto &entry) {
-                                      return entry.second != avoid;
+                                  [&avoid](const std::string &daemon) {
+                                      return daemon != avoid;
                                   });
 
         report::Json message = makeMessage("submit");
         message.set("experiment", grid.experiment);
-        message.set("options",
-                    report::suiteOptionsToJson(shard.options));
+        message.set("options", report::suiteOptionsToJson(
+                                   outcome.cellOptions[shard.cell]));
 
-        for (const auto &[score, daemon] : ranked) {
+        for (const std::string &daemon : ranked) {
             try {
                 ServiceClient client(daemon);
                 if (!client.connect(options.connectTimeoutSeconds))
@@ -327,14 +267,13 @@ runSweepCampaign(const SweepGrid &grid, const SweepOptions &options)
                 std::chrono::duration<double>(options.pollSeconds));
     }
 
-    for (std::size_t c = 0; c < outcome.cellOptions.size(); ++c) {
-        std::vector<report::RunReport> cell_shards;
-        for (const Shard &shard : shards)
-            if (shard.cell == c)
-                cell_shards.push_back(shard.report);
+    // Each cell's daemon report is validated against its cell (legs,
+    // policies and options) by the same merge that joins shard sets.
+    for (const Shard &shard : shards) {
         try {
             outcome.cells.push_back(report::mergeShardReports(
-                grid.experiment, outcome.cellOptions[c], cell_shards));
+                grid.experiment, outcome.cellOptions[shard.cell],
+                {shard.report}));
         } catch (const report::ReportError &e) {
             throw SweepError(std::string("sweep: merge failed: ") +
                              e.what());

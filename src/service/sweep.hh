@@ -1,18 +1,18 @@
 /**
  * @file
  * Multi-daemon sweep campaigns: expand a parameter grid (seeds x
- * policies) into per-policy shards, load-balance the shards across a
- * pool of ghrp-served daemons using their live telemetry as the load
- * signal, poll the fleet until every shard lands, retry shards lost to
- * daemon crashes or failures, and merge each cell's shard reports back
- * into the document an in-process runSuite would have produced
- * (report::mergeShardReports, bit-identical per leg).
+ * policies) into one shard per seed cell, spread the shards across a
+ * pool of ghrp-served daemons by this campaign's outstanding-shard
+ * count, poll the fleet until every shard lands, retry shards lost to
+ * daemon crashes or failures, and check each cell's report against
+ * its cell (report::mergeShardReports) so it is the document an
+ * in-process runSuite would have produced, bit-identical per leg.
  *
- * Sharding is per (cell, policy): policy legs share no state, so a
- * cell's shards can run on different machines and still merge exactly.
- * A shard that dies with its daemon is simply resubmitted elsewhere —
- * the daemon's own journal handles intra-job resume, the campaign
- * handles whole-shard loss.
+ * A shard carries all of the grid's policies, so its daemon decodes
+ * each trace once and replays it under every policy, as in-process
+ * runSuite does. A shard that dies with its daemon is simply
+ * resubmitted elsewhere — the daemon's own journal handles intra-job
+ * resume, the campaign handles whole-shard loss.
  */
 
 #ifndef GHRP_SERVICE_SWEEP_HH
@@ -40,13 +40,13 @@ struct SweepError : std::runtime_error
     {}
 };
 
-/** The parameter grid of one campaign: cells = seeds, shards =
- *  cells x policies. */
+/** The parameter grid of one campaign: cells = seeds, one shard per
+ *  cell. */
 struct SweepGrid
 {
     std::string experiment = "sweep";
     /** Cell template; its baseSeed/policies members are overridden per
-     *  cell and shard. */
+     *  cell. */
     core::SuiteOptions base;
     /** One cell per seed; empty means one cell at base.baseSeed. */
     std::vector<std::uint64_t> seeds;
@@ -57,7 +57,8 @@ struct SweepGrid
 /** Campaign knobs. */
 struct SweepOptions
 {
-    /** Daemon socket paths; shards go to the least-loaded live one. */
+    /** Daemon socket paths; each shard goes to the live one with the
+     *  fewest of this campaign's shards outstanding. */
     std::vector<std::string> daemons;
     /** Total submit attempts per shard before the campaign fails. */
     unsigned maxAttempts = 3;

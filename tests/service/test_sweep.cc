@@ -2,7 +2,7 @@
  * @file
  * Tests of the multi-daemon sweep fabric: the report-layer shard merge
  * (bit-identical to the unsharded run, loud on missing/duplicate
- * legs), a two-daemon campaign whose merged cell matches an
+ * legs), a two-cell campaign across two daemons whose cells match
  * in-process runSuite, and shard retry when a daemon dies
  * mid-campaign.
  */
@@ -104,6 +104,22 @@ normalizedDump(report::RunReport r)
     return r.toJson().dump(2);
 }
 
+/** Each campaign cell must equal an in-process runSuite of its options. */
+void
+expectCellsMatchInProcess(const std::string &experiment,
+                          const SweepOutcome &outcome)
+{
+    ASSERT_EQ(outcome.cells.size(), outcome.cellOptions.size());
+    for (std::size_t c = 0; c < outcome.cells.size(); ++c) {
+        const core::SuiteOptions &cell = outcome.cellOptions[c];
+        const report::RunReport reference = report::buildSuiteReport(
+            experiment, cell, core::runSuite(cell));
+        EXPECT_EQ(normalizedDump(outcome.cells[c]),
+                  normalizedDump(reference))
+            << "seed " << cell.baseSeed;
+    }
+}
+
 TEST(Service, MergedShardReportsMatchUnshardedReport)
 {
     core::SuiteOptions cell = cellOptions();
@@ -159,7 +175,7 @@ TEST(Service, SweepCampaignMergesBitIdenticalAcrossTwoDaemons)
     SweepGrid grid;
     grid.experiment = "sweep-two-daemons";
     grid.base = cellOptions();
-    grid.seeds = {42};
+    grid.seeds = {42, 43};
 
     SweepOptions options;
     options.daemons = {a.server.config().socketPath,
@@ -167,16 +183,11 @@ TEST(Service, SweepCampaignMergesBitIdenticalAcrossTwoDaemons)
     options.pollSeconds = 0.02;
     options.connectTimeoutSeconds = 0.5;
 
+    // One shard per cell, each on its own daemon.
     const SweepOutcome outcome = runSweepCampaign(grid, options);
-    ASSERT_EQ(outcome.cells.size(), 1u);
-    EXPECT_EQ(outcome.shards, grid.base.policies.size());
+    EXPECT_EQ(outcome.shards, 2u);
     EXPECT_EQ(outcome.resubmits, 0u);
-
-    const core::SuiteOptions &cell = outcome.cellOptions.front();
-    const report::RunReport reference = report::buildSuiteReport(
-        grid.experiment, cell, core::runSuite(cell));
-    EXPECT_EQ(normalizedDump(outcome.cells.front()),
-              normalizedDump(reference));
+    expectCellsMatchInProcess(grid.experiment, outcome);
 }
 
 TEST(Service, SweepRetriesShardsLostWithDaemonDeath)
@@ -188,26 +199,22 @@ TEST(Service, SweepRetriesShardsLostWithDaemonDeath)
     SweepGrid grid;
     grid.experiment = "sweep-daemon-death";
     grid.base = cellOptions(2, 500'000);
-    grid.seeds = {42};
+    grid.seeds = {42, 43};
 
     SweepOptions options;
     options.daemons = {survivor.server.config().socketPath,
                        victim->server.config().socketPath};
     options.pollSeconds = 0.02;
     options.connectTimeoutSeconds = 0.3;
-    // The deterministic kill point: every shard has been accepted,
-    // none has been polled — the victim's shards must be re-run.
+    // The deterministic kill point: both cells have been accepted, one
+    // per daemon, none has been polled — the victim's cell must be
+    // re-run on the survivor.
     options.onAllSubmitted = [&victim] { victim.reset(); };
 
     const SweepOutcome outcome = runSweepCampaign(grid, options);
-    ASSERT_EQ(outcome.cells.size(), 1u);
+    EXPECT_EQ(outcome.shards, 2u);
     EXPECT_GE(outcome.resubmits, 1u);
-
-    const core::SuiteOptions &cell = outcome.cellOptions.front();
-    const report::RunReport reference = report::buildSuiteReport(
-        grid.experiment, cell, core::runSuite(cell));
-    EXPECT_EQ(normalizedDump(outcome.cells.front()),
-              normalizedDump(reference));
+    expectCellsMatchInProcess(grid.experiment, outcome);
 }
 
 } // anonymous namespace

@@ -37,12 +37,13 @@
  *       [--experiment NAME] [--traces N] [--instructions M]
  *       [--seeds A,B,...] [--policies P,Q,...] [--shard-attempts N]
  *       [--poll-ms MS] [--timeout SEC] [--out-dir DIR | --out FILE]
- *       Expand the (seeds x policies) grid into per-policy shards,
- *       load-balance them across the daemon pool using live telemetry,
- *       retry shards lost to daemon crashes, and merge each seed
- *       cell's shard reports into the document an in-process run
- *       would have produced (bit-identical per leg). One cell goes to
- *       --out/stdout; multiple cells require --out-dir.
+ *       Send one shard per seed cell, carrying all of the grid's
+ *       policies, to the daemon with the fewest of this campaign's
+ *       shards outstanding; retry shards lost to daemon crashes; and
+ *       check each cell's report against its cell, so it is the
+ *       document an in-process run would have produced (bit-identical
+ *       per leg). One cell goes to --out/stdout; multiple cells
+ *       require --out-dir.
  *
  * Exit codes: 0 success, 1 job failed/cancelled or rejected,
  * 2 usage or connection error.
