@@ -1,5 +1,6 @@
 #include "workload/trace_store.hh"
 
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -66,6 +67,31 @@ directionMetrics()
         telemetry::metrics().counter("trace_store.direction_stores"),
     };
     return m;
+}
+
+/**
+ * Temp name for publishing @p path: unique per process (pid) and per
+ * call (one counter shared by every store in the process), so
+ * concurrent producers of the same key — including two stores open on
+ * one directory, as in a daemon running several jobs — never write
+ * the same temp file.
+ */
+std::string
+tempPathFor(const std::string &path)
+{
+    static std::atomic<std::uint64_t> counter{0};
+    char suffix[64];
+    std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
+                  static_cast<long>(
+#if defined(__unix__) || defined(__APPLE__)
+                      ::getpid()
+#else
+                      0
+#endif
+                          ),
+                  static_cast<unsigned long long>(
+                      counter.fetch_add(1, std::memory_order_relaxed)));
+    return path + suffix;
 }
 
 /** Sidecar header; every field is checked on load. */
@@ -199,21 +225,9 @@ TraceStore::persist(const trace::Trace &tr, const std::string &path)
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
 
-    // Unique temp name per process and call: concurrent producers of
-    // the same key never collide, and the final rename is atomic, so a
-    // reader sees either nothing or a complete file.
-    char suffix[64];
-    std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
-                  static_cast<long>(
-#if defined(__unix__) || defined(__APPLE__)
-                      ::getpid()
-#else
-                      0
-#endif
-                          ),
-                  static_cast<unsigned long long>(
-                      tempCounter.fetch_add(1, std::memory_order_relaxed)));
-    const std::string tmp = path + suffix;
+    // The final rename is atomic, so a reader sees either nothing or
+    // a complete file.
+    const std::string tmp = tempPathFor(path);
 
     if (ec || !trace::tryWriteTrace(tr, tmp)) {
         if (!writeFailed.exchange(true))
@@ -344,18 +358,7 @@ TraceStore::storeDirectionStream(const TraceSpec &spec,
 
     const std::string path =
         directionPathFor(spec, instruction_override, direction_kind);
-    char suffix[64];
-    std::snprintf(suffix, sizeof(suffix), ".tmp.%ld.%llu",
-                  static_cast<long>(
-#if defined(__unix__) || defined(__APPLE__)
-                      ::getpid()
-#else
-                      0
-#endif
-                          ),
-                  static_cast<unsigned long long>(
-                      tempCounter.fetch_add(1, std::memory_order_relaxed)));
-    const std::string tmp = path + suffix;
+    const std::string tmp = tempPathFor(path);
 
     DirectionHeader hdr;
     hdr.contentKey = contentKey(spec, instruction_override);

@@ -151,7 +151,6 @@ class TraceStore
     std::atomic<std::uint64_t> hitCount{0};
     std::atomic<std::uint64_t> missCount{0};
     std::atomic<std::uint64_t> storeCount{0};
-    std::atomic<std::uint64_t> tempCounter{0};
     std::atomic<bool> writeFailed{false};
 };
 
