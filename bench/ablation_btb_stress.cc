@@ -10,7 +10,9 @@
  */
 
 #include <array>
+#include <chrono>
 #include <cstdio>
+#include <future>
 
 #include "bench_common.hh"
 #include "stats/running_stats.hh"
@@ -30,7 +32,8 @@ main(int argc, char **argv)
     const std::uint64_t instructions =
         cli.getUint("instructions", 12'000'000);
     const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    const unsigned jobs =
+        bench::effectiveJobs(static_cast<unsigned>(cli.getUint("jobs", 0)));
     bench::initTelemetry(cli, "ablation_btb_stress");
 
     // One pool job per stress trace, results in per-trace slots so the
@@ -67,14 +70,19 @@ main(int argc, char **argv)
                 exec.bigLoopCallProbability =
                     params.bigLoopCallProbability;
                 exec.stubCallProbability = params.stubCallProbability;
-                const trace::Trace tr = workload::execute(
-                    program, exec, "btb-stress", "LONG-SERVER");
+                // Decode and resolve the direction stream once; the
+                // five policy legs share both.
+                frontend::FrontendConfig config;
+                trace::DecodedTrace dec = trace::decodeTrace(
+                    workload::execute(program, exec, "btb-stress",
+                                      "LONG-SERVER"),
+                    config.icache.blockBytes, config.instBytes);
+                frontend::resolveDirectionStream(dec, config.direction);
 
                 for (std::size_t p = 0;
                      p < std::size(frontend::paperPolicies); ++p) {
-                    frontend::FrontendConfig config;
                     config.policy = frontend::paperPolicies[p];
-                    rows[t][p] = frontend::simulateTrace(config, tr);
+                    rows[t][p] = frontend::simulateDecoded(config, dec);
                 }
             }));
         for (std::uint32_t t = 0; t < num_traces; ++t) {
@@ -121,6 +129,8 @@ main(int argc, char **argv)
                           1)});
     }
     std::printf("%s\n", table.render().c_str());
+    std::printf("vs LRU %%: ratio of means, (mean MPKI / mean LRU MPKI "
+                "- 1) x 100.\n");
     std::printf("GHRP dead-entry evictions: %.1f%% of BTB evictions\n",
                 dead_evict_pct.mean());
 

@@ -15,7 +15,6 @@
 #include "bench_common.hh"
 #include "stats/running_stats.hh"
 #include "stats/table.hh"
-#include "workload/suite.hh"
 
 namespace
 {
@@ -34,12 +33,9 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_ghrp");
+    const core::SuiteOptions options =
+        bench::suiteOptions(cli, 8, 0, "ablation_ghrp");
+    const std::uint32_t num_traces = options.numTraces;
 
     const std::vector<Variant> variants = {
         {"GHRP (default)", [](frontend::FrontendConfig &) {}},
@@ -68,50 +64,27 @@ main(int argc, char **argv)
          [](frontend::FrontendConfig &c) { c.ghrpDedicatedBtb = true; }},
     };
 
-    // Generate traces once; run LRU plus every variant on each.
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    // Leg 0 is the LRU baseline, leg v + 1 is GHRP under variant v.
+    std::vector<frontend::FrontendConfig> legs(1 + variants.size(),
+                                               options.base);
+    legs[0].policy = frontend::PolicyKind::Lru;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        legs[v + 1].policy = frontend::PolicyKind::Ghrp;
+        variants[v].apply(legs[v + 1]);
+    }
+    const auto sweep = bench::sweepConfigs(options, legs);
 
-    // One pool job per trace; the serial reduction below keeps the
-    // RunningStats accumulation order identical to the serial loop.
-    struct PerTrace
-    {
-        double lruIcache = 0, lruBtb = 0;
-        std::vector<double> icache, btb;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, variants.size() + 1,
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig lru_config;
-            lru_config.policy = frontend::PolicyKind::Lru;
-            const frontend::FrontendResult lru =
-                frontend::simulateTrace(lru_config, tr);
-            out.lruIcache = lru.icacheMpki;
-            out.lruBtb = lru.btbMpki;
-            for (const Variant &variant : variants) {
-                frontend::FrontendConfig config;
-                config.policy = frontend::PolicyKind::Ghrp;
-                variant.apply(config);
-                const frontend::FrontendResult r =
-                    frontend::simulateTrace(config, tr);
-                out.icache.push_back(r.icacheMpki);
-                out.btb.push_back(r.btbMpki);
-            }
-            return out;
-        },
-        &sweep_wall);
-
+    // The serial reduction keeps the RunningStats accumulation order
+    // fixed.
     stats::RunningStats lru_icache, lru_btb;
     std::vector<stats::RunningStats> var_icache(variants.size());
     std::vector<stats::RunningStats> var_btb(variants.size());
-    for (const PerTrace &row : rows) {
-        lru_icache.add(row.lruIcache);
-        lru_btb.add(row.lruBtb);
+    for (const std::vector<frontend::FrontendResult> &row : sweep.cells) {
+        lru_icache.add(row[0].icacheMpki);
+        lru_btb.add(row[0].btbMpki);
         for (std::size_t v = 0; v < variants.size(); ++v) {
-            var_icache[v].add(row.icache[v]);
-            var_btb[v].add(row.btb[v]);
+            var_icache[v].add(row[v + 1].icacheMpki);
+            var_btb[v].add(row[v + 1].btbMpki);
         }
     }
 
@@ -137,6 +110,8 @@ main(int argc, char **argv)
                       stats::TextTable::num(bt_rel, 1)});
     }
     std::printf("%s\n", table.render().c_str());
+    std::printf("vs LRU %%: ratio of means, (mean MPKI / mean LRU MPKI "
+                "- 1) x 100.\n");
 
     // Variant labels become metric keys: lowercase, non-alnum -> '_'.
     report::ReportBuilder builder("ablation_ghrp");
@@ -160,8 +135,8 @@ main(int argc, char **argv)
         builder.addMetric(key + "_icache_mpki", var_icache[v].mean());
         builder.addMetric(key + "_btb_mpki", var_btb[v].mean());
     }
-    builder.setSweep(sweep_wall, jobs,
-                     specs.size() * (variants.size() + 1));
+    builder.setSweep(sweep.run.wallSeconds, bench::effectiveJobs(options),
+                     sweep.legs());
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ablation_ghrp");
     return 0;

@@ -12,7 +12,6 @@
 #include "bench_common.hh"
 #include "core/opt.hh"
 #include "stats/table.hh"
-#include "workload/suite.hh"
 
 int
 main(int argc, char **argv)
@@ -20,45 +19,34 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 6));
-    const std::uint64_t instructions =
-        cli.getUint("instructions", 4'000'000);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_opt_headroom");
-
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    const core::SuiteOptions options =
+        bench::suiteOptions(cli, 6, 4'000'000, "ablation_opt_headroom");
+    const std::uint32_t num_traces = options.numTraces;
 
     std::printf("=== OPT headroom (cold caches, %u traces) ===\n\n",
                 num_traces);
     stats::TextTable table({"trace", "LRU MPKI", "GHRP MPKI", "OPT MPKI",
                             "headroom %", "captured %"});
 
-    struct PerTrace
-    {
-        double lru = 0, ghrp = 0, opt = 0;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, 3,
-        [](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig cfg;
-            cfg.warmupFraction = 0.0;  // OPT replays the whole trace
-            cfg.policy = frontend::PolicyKind::Lru;
-            out.lru = frontend::simulateTrace(cfg, tr).icacheMpki;
-            cfg.policy = frontend::PolicyKind::Ghrp;
-            out.ghrp = frontend::simulateTrace(cfg, tr).icacheMpki;
-            out.opt = core::simulateOptIcache(tr, cfg.icache).mpki();
-            return out;
-        },
-        &sweep_wall);
+    // Legs: LRU, GHRP, OPT — I-cache MPKI from cold caches.
+    frontend::FrontendConfig cfg = options.base;
+    cfg.warmupFraction = 0.0;  // OPT replays the whole trace
+    const auto sweep = bench::sweepLegs(
+        options, 3, [&](std::size_t n, const trace::DecodedTrace &dec) {
+            if (n == 2)
+                return core::simulateOptIcache(dec, cfg.icache).mpki();
+            frontend::FrontendConfig leg = cfg;
+            leg.policy = n == 0 ? frontend::PolicyKind::Lru
+                                : frontend::PolicyKind::Ghrp;
+            return frontend::simulateDecoded(leg, dec).icacheMpki;
+        });
+    const std::vector<workload::TraceSpec> &specs = sweep.run.specs;
 
     double sum_headroom = 0, sum_captured = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &[lru, ghrp, opt] = rows[i];
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const double lru = sweep.cells[i][0];
+        const double ghrp = sweep.cells[i][1];
+        const double opt = sweep.cells[i][2];
         const double headroom = lru > 0 ? (lru - opt) / lru * 100 : 0;
         const double captured =
             lru - opt > 1e-9 ? (lru - ghrp) / (lru - opt) * 100 : 0;
@@ -78,14 +66,15 @@ main(int argc, char **argv)
                 sum_headroom / num_traces, sum_captured / num_traces);
 
     report::ReportBuilder builder("ablation_opt_headroom");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        builder.addMetric(specs[i].name + "_lru_mpki", rows[i].lru);
-        builder.addMetric(specs[i].name + "_ghrp_mpki", rows[i].ghrp);
-        builder.addMetric(specs[i].name + "_opt_mpki", rows[i].opt);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        builder.addMetric(specs[i].name + "_lru_mpki", sweep.cells[i][0]);
+        builder.addMetric(specs[i].name + "_ghrp_mpki", sweep.cells[i][1]);
+        builder.addMetric(specs[i].name + "_opt_mpki", sweep.cells[i][2]);
     }
     builder.addMetric("mean_headroom_pct", sum_headroom / num_traces);
     builder.addMetric("mean_captured_pct", sum_captured / num_traces);
-    builder.setSweep(sweep_wall, jobs, specs.size() * 3);
+    builder.setSweep(sweep.run.wallSeconds, bench::effectiveJobs(options),
+                     sweep.legs());
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ablation_opt_headroom");
     return 0;

@@ -47,12 +47,9 @@ int
 main(int argc, char **argv)
 {
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ablation_thresholds");
+    const core::SuiteOptions options =
+        bench::suiteOptions(cli, 8, 0, "ablation_thresholds");
+    const std::uint32_t num_traces = options.numTraces;
 
     struct GhrpVariant
     {
@@ -75,55 +72,40 @@ main(int argc, char **argv)
         {16, 40}, {32, 80}, {64, 160}, {128, 300},
     };
 
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    // Leg 0 is LRU, then one leg per GHRP variant, then one per SDBP
+    // variant.
+    std::vector<frontend::FrontendConfig> legs(1, options.base);
+    legs[0].policy = frontend::PolicyKind::Lru;
+    for (const GhrpVariant &v : ghrp_variants) {
+        frontend::FrontendConfig config = options.base;
+        config.policy = frontend::PolicyKind::Ghrp;
+        config.ghrp.counterBits = v.counterBits;
+        config.ghrp.deadThreshold = v.dead;
+        config.ghrp.bypassThreshold = v.bypass;
+        config.ghrp.btbDeadThreshold = v.btbDead;
+        legs.push_back(config);
+    }
+    for (const SdbpVariant &v : sdbp_variants) {
+        frontend::FrontendConfig config = options.base;
+        config.policy = frontend::PolicyKind::Sdbp;
+        config.sdbp.deadThreshold = v.dead;
+        config.sdbp.bypassThreshold = v.bypass;
+        legs.push_back(config);
+    }
+    const auto sweep = bench::sweepConfigs(options, legs);
+    const std::vector<workload::TraceSpec> &specs = sweep.run.specs;
 
-    // One pool job per trace; the serial reduction below keeps the
-    // accumulation order identical to the old serial loop.
-    struct PerTrace
-    {
-        frontend::FrontendResult lru;
-        std::vector<frontend::FrontendResult> ghrp, sdbp;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs,
-        1 + ghrp_variants.size() + sdbp_variants.size(),
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig config;
-            config.policy = frontend::PolicyKind::Lru;
-            out.lru = frontend::simulateTrace(config, tr);
-
-            for (const GhrpVariant &v : ghrp_variants) {
-                config = frontend::FrontendConfig{};
-                config.policy = frontend::PolicyKind::Ghrp;
-                config.ghrp.counterBits = v.counterBits;
-                config.ghrp.deadThreshold = v.dead;
-                config.ghrp.bypassThreshold = v.bypass;
-                config.ghrp.btbDeadThreshold = v.btbDead;
-                out.ghrp.push_back(frontend::simulateTrace(config, tr));
-            }
-            for (const SdbpVariant &v : sdbp_variants) {
-                config = frontend::FrontendConfig{};
-                config.policy = frontend::PolicyKind::Sdbp;
-                config.sdbp.deadThreshold = v.dead;
-                config.sdbp.bypassThreshold = v.bypass;
-                out.sdbp.push_back(frontend::simulateTrace(config, tr));
-            }
-            return out;
-        },
-        &sweep_wall);
-
+    // The serial reduction keeps the accumulation order fixed.
     Accumulator lru;
     std::vector<Accumulator> ghrp_acc(ghrp_variants.size());
     std::vector<Accumulator> sdbp_acc(sdbp_variants.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        lru.add(specs[i], rows[i].lru);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::vector<frontend::FrontendResult> &row = sweep.cells[i];
+        lru.add(specs[i], row[0]);
         for (std::size_t v = 0; v < ghrp_variants.size(); ++v)
-            ghrp_acc[v].add(specs[i], rows[i].ghrp[v]);
+            ghrp_acc[v].add(specs[i], row[1 + v]);
         for (std::size_t v = 0; v < sdbp_variants.size(); ++v)
-            sdbp_acc[v].add(specs[i], rows[i].sdbp[v]);
+            sdbp_acc[v].add(specs[i], row[1 + ghrp_variants.size() + v]);
     }
 
     std::printf("=== Predictor threshold sweep (%u traces) ===\n\n",
@@ -194,9 +176,8 @@ main(int argc, char **argv)
         builder.addMetric(std::string(key) + "_server_icache_mpki",
                           sdbp_acc[v].server.mean());
     }
-    builder.setSweep(sweep_wall, jobs,
-                     specs.size() *
-                         (1 + ghrp_variants.size() + sdbp_variants.size()));
+    builder.setSweep(sweep.run.wallSeconds, bench::effectiveJobs(options),
+                     sweep.legs());
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ablation_thresholds");
     return 0;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the figure/table regeneration binaries: suite
- * options from the command line, progress reporting, parallel sweep
- * execution, and throughput accounting.
+ * options from the command line, progress reporting, sweep execution
+ * through core::runSuite / core::runSuiteLegs, and throughput
+ * accounting.
  *
  * Every bench binary accepts:
  *   --traces N         suite size (default varies per figure)
@@ -10,11 +11,6 @@
  *   --seed S           suite base seed
  *   --jobs N           sweep worker threads (0 = hardware concurrency,
  *                      1 = serial; results are bit-identical either way)
- *   --trace-cache DIR  content-addressed trace store directory
- *                      (default: the GHRP_TRACE_CACHE environment
- *                      variable; traces are generated in memory when
- *                      neither is set — results are identical, warm
- *                      runs just skip regeneration)
  *   --leg-times        print the per-leg wall-time table
  *   --quiet            suppress progress and throughput reporting
  *                      (equivalent to --log-level warn)
@@ -37,15 +33,25 @@
  *                      telemetry record every N instructions per leg
  *                      (or GHRP_PHASE_WINDOW; 0 = off, the default;
  *                      records land under each report leg's "phases")
+ *
+ * The suite sweeps (fig03, fig03_duel, fig06, fig07, fig08, fig09,
+ * fig10, fig11, ablation_ghrp, ablation_thresholds,
+ * ablation_opt_headroom, ext_indirect, ext_prefetch) also accept:
+ *   --trace-cache DIR  content-addressed trace store directory
+ *                      (default: the GHRP_TRACE_CACHE environment
+ *                      variable; traces are generated in memory when
+ *                      neither is set — results are identical, warm
+ *                      runs just skip regeneration). fig01, fig05,
+ *                      tab01 and ablation_btb_stress do not sweep the
+ *                      suite and ignore it.
  */
 
 #ifndef GHRP_BENCH_BENCH_COMMON_HH
 #define GHRP_BENCH_BENCH_COMMON_HH
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
+#include <utility>
 #include <vector>
 
 #include "core/cli.hh"
@@ -54,7 +60,6 @@
 #include "telemetry/span.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
-#include "workload/trace_store.hh"
 
 namespace ghrp::bench
 {
@@ -79,8 +84,8 @@ tracePath(const core::CliOptions &cli, const std::string &experiment)
  * Per-binary telemetry setup: apply the unified log level (--log-level
  * / --quiet / GHRP_LOG_LEVEL), name the main thread's trace row, and
  * enable span recording when a --trace-out / GHRP_TRACE_DIR
- * destination exists. Called by suiteOptions(); custom bench loops
- * that bypass it call this directly.
+ * destination exists. Called by suiteOptions(); the single-trace
+ * binaries that bypass it call this directly.
  */
 inline void
 initTelemetry(const core::CliOptions &cli, const std::string &experiment)
@@ -165,8 +170,8 @@ writeReport(const report::RunReport &report, const std::string &path)
 }
 
 /**
- * Report hook for the custom bench loops: write @p report to the
- * --report / GHRP_REPORT_DIR destination, if any.
+ * Report hook for the binaries that build their own report: write
+ * @p report to the --report / GHRP_REPORT_DIR destination, if any.
  */
 inline void
 maybeWriteReport(const core::CliOptions &cli,
@@ -175,11 +180,18 @@ maybeWriteReport(const core::CliOptions &cli,
     writeReport(report, reportPath(cli, report.experiment));
 }
 
+/** Worker count a --jobs value (0 = hardware concurrency) runs. */
+inline unsigned
+effectiveJobs(unsigned jobs)
+{
+    return jobs ? jobs : util::ThreadPool::hardwareJobs();
+}
+
 /** Worker count a set of SuiteOptions will actually use. */
 inline unsigned
 effectiveJobs(const core::SuiteOptions &options)
 {
-    return options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
+    return effectiveJobs(options.jobs);
 }
 
 /** Progress meter printing to stderr (suppressed by --quiet). */
@@ -195,6 +207,20 @@ progressMeter()
         if (done == total)
             std::fprintf(stderr, "\n");
     };
+}
+
+/** The `[sweep] trace store` line, when a store was in effect. */
+inline void
+reportTraceStore(const core::SweepRun &run)
+{
+    if (!run.traceStoreEnabled)
+        return;
+    std::fprintf(stderr,
+                 "[sweep] trace store: %llu hits, %llu misses, "
+                 "%llu persisted\n",
+                 static_cast<unsigned long long>(run.traceStore.hits),
+                 static_cast<unsigned long long>(run.traceStore.misses),
+                 static_cast<unsigned long long>(run.traceStore.stores));
 }
 
 /**
@@ -239,16 +265,7 @@ reportThroughput(const core::SuiteResults &results, unsigned jobs,
                  wall > 0 ? busy / wall : 0.0, busy, slowest,
                  slow_trace.c_str(), slow_policy.c_str());
 
-    if (results.traceStoreEnabled)
-        std::fprintf(stderr,
-                     "[sweep] trace store: %llu hits, %llu misses, "
-                     "%llu persisted\n",
-                     static_cast<unsigned long long>(
-                         results.traceStore.hits),
-                     static_cast<unsigned long long>(
-                         results.traceStore.misses),
-                     static_cast<unsigned long long>(
-                         results.traceStore.stores));
+    reportTraceStore(results);
 
     if (print_leg_times) {
         std::fprintf(stderr, "[sweep] per-leg wall time (seconds):\n");
@@ -281,75 +298,70 @@ runSuiteTimed(const core::SuiteOptions &options,
     return results;
 }
 
-/**
- * Parallel per-trace sweep for the custom bench loops that do not go
- * through core::runSuite (config sweeps, ablations, OPT replays):
- * builds each trace on a work-stealing pool, applies @p fn, and
- * returns the per-trace values in suite order, so downstream
- * aggregation is deterministic regardless of scheduling. @p fn must
- * not touch shared mutable state. Prints a throughput report based on
- * @p legs_per_trace (simulation runs per trace inside fn). When
- * @p wall_seconds_out is non-null, the sweep wall time is stored there
- * (for run-report sweep stats).
- */
-template <typename Fn>
-auto
-mapTraceSweep(const std::vector<workload::TraceSpec> &specs,
-              std::uint64_t instruction_override, unsigned jobs,
-              std::size_t legs_per_trace, Fn &&fn,
-              double *wall_seconds_out = nullptr)
-    -> std::vector<decltype(fn(specs.front(), trace::Trace{}))>
+/** A finished custom-leg sweep: cells[trace][leg] in suite order. */
+template <typename R>
+struct LegSweep
 {
-    using R = decltype(fn(specs.front(), trace::Trace{}));
+    core::SweepRun run;
+    std::vector<std::vector<R>> cells;
 
-    const unsigned n = jobs ? jobs : util::ThreadPool::hardwareJobs();
-    std::vector<R> out(specs.size());
-    // Env-driven store (GHRP_TRACE_CACHE): warm custom sweeps skip
-    // trace regeneration just like core::runSuite does.
-    workload::TraceStore store;
-    const auto start = std::chrono::steady_clock::now();
-
-    if (n <= 1 || specs.size() <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const trace::Trace tr =
-                store.acquire(specs[i], instruction_override);
-            out[i] = fn(specs[i], tr);
-            if (informEnabled())
-                std::fprintf(stderr, "\r[%3zu/%3zu traces]", i + 1,
-                             specs.size());
-        }
-    } else {
-        util::ThreadPool pool(n);
-        std::vector<std::future<void>> futures;
-        futures.reserve(specs.size());
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            futures.push_back(pool.submit([&, i]() {
-                const trace::Trace tr =
-                    store.acquire(specs[i], instruction_override);
-                out[i] = fn(specs[i], tr);
-            }));
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            futures[i].get();
-            if (informEnabled())
-                std::fprintf(stderr, "\r[%3zu/%3zu traces]", i + 1,
-                             specs.size());
-        }
+    /** Number of (trace, leg) cells, for the report's sweep stats. */
+    std::size_t
+    legs() const
+    {
+        return cells.empty() ? 0 : cells.size() * cells.front().size();
     }
+};
 
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    if (wall_seconds_out)
-        *wall_seconds_out = wall;
+/**
+ * Custom-leg sweep for the config-sweep benches (fig07, the
+ * ablations, OPT headroom, the extensions): cells[i][n] =
+ * @p leg(n, decoded trace i) for n in [0, @p legs_per_trace), run
+ * through core::runSuiteLegs — runSuite's own trace path (trace store
+ * and `.dir<kind>` sidecars, bounded decode window, --jobs pool, one
+ * task per leg). Prints progress and a [sweep] throughput line unless
+ * --quiet.
+ */
+template <typename Leg>
+auto
+sweepLegs(const core::SuiteOptions &options, std::size_t legs_per_trace,
+          Leg &&leg)
+    -> LegSweep<decltype(leg(std::size_t{},
+                             std::declval<const trace::DecodedTrace &>()))>
+{
+    using R = decltype(leg(std::size_t{},
+                           std::declval<const trace::DecodedTrace &>()));
+    LegSweep<R> out;
+    out.cells.assign(options.numTraces, std::vector<R>(legs_per_trace));
+    out.run = core::runSuiteLegs(
+        options, legs_per_trace,
+        [&](std::size_t i, std::size_t n, const trace::DecodedTrace &dec) {
+            out.cells[i][n] = leg(n, dec);
+        },
+        progressMeter());
     if (informEnabled()) {
-        const std::size_t legs = specs.size() * legs_per_trace;
+        const double wall = out.run.wallSeconds;
         std::fprintf(stderr,
-                     "\n[sweep] %zu traces (%zu legs) in %.2f s with "
-                     "%u jobs — %.2f legs/s\n",
-                     specs.size(), legs, wall, n,
-                     wall > 0 ? legs / wall : 0.0);
+                     "[sweep] %zu traces (%zu legs) in %.2f s with %u "
+                     "jobs — %.2f legs/s\n",
+                     out.cells.size(), out.legs(), wall,
+                     effectiveJobs(options),
+                     wall > 0 ? out.legs() / wall : 0.0);
+        reportTraceStore(out.run);
     }
     return out;
+}
+
+/** sweepLegs over a fixed list of front-end configurations: leg n
+ *  simulates @p configs[n]. */
+inline LegSweep<frontend::FrontendResult>
+sweepConfigs(const core::SuiteOptions &options,
+             const std::vector<frontend::FrontendConfig> &configs)
+{
+    return sweepLegs(options, configs.size(),
+                     [&](std::size_t n, const trace::DecodedTrace &dec) {
+                         return frontend::simulateDecoded(configs[n], dec);
+                     });
 }
 
 } // namespace ghrp::bench

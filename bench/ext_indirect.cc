@@ -12,7 +12,6 @@
 #include "bench_common.hh"
 #include "stats/running_stats.hh"
 #include "stats/table.hh"
-#include "workload/suite.hh"
 
 int
 main(int argc, char **argv)
@@ -20,38 +19,21 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ext_indirect");
+    const core::SuiteOptions options =
+        bench::suiteOptions(cli, 8, 0, "ext_indirect");
+    const std::uint32_t num_traces = options.numTraces;
 
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
-
-    struct PerTrace
-    {
-        frontend::FrontendResult base, itp;
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, 2,
-        [](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            frontend::FrontendConfig cfg;
-            cfg.policy = frontend::PolicyKind::Ghrp;
-            out.base = frontend::simulateTrace(cfg, tr);
-            cfg.useIndirectPredictor = true;
-            out.itp = frontend::simulateTrace(cfg, tr);
-            return out;
-        },
-        &sweep_wall);
+    // Leg 0: BTB last-seen target; leg 1: path-history target predictor.
+    std::vector<frontend::FrontendConfig> legs(2, options.base);
+    legs[0].policy = legs[1].policy = frontend::PolicyKind::Ghrp;
+    legs[1].useIndirectPredictor = true;
+    const auto sweep = bench::sweepConfigs(options, legs);
+    const std::vector<workload::TraceSpec> &specs = sweep.run.specs;
 
     stats::RunningStats base_rate, itp_rate, base_mpki, itp_mpki;
-    for (const PerTrace &row : rows) {
-        const frontend::FrontendResult &base = row.base;
-        const frontend::FrontendResult &itp = row.itp;
+    for (const std::vector<frontend::FrontendResult> &row : sweep.cells) {
+        const frontend::FrontendResult &base = row[0];
+        const frontend::FrontendResult &itp = row[1];
         if (base.indirectBranches > 0) {
             base_rate.add(100.0 *
                           static_cast<double>(base.indirectMispredicts) /
@@ -82,15 +64,16 @@ main(int argc, char **argv)
                 "what last-target prediction cannot capture.\n");
 
     report::ReportBuilder builder("ext_indirect");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        builder.addLeg(specs[i].name, "GHRP+last-target", rows[i].base);
-        builder.addLeg(specs[i].name, "GHRP+path-itp", rows[i].itp);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        builder.addLeg(specs[i].name, "GHRP+last-target",
+                       sweep.cells[i][0]);
+        builder.addLeg(specs[i].name, "GHRP+path-itp", sweep.cells[i][1]);
     }
     builder.addMetric("base_indirect_mispredict_pct", base_rate.mean());
     builder.addMetric("itp_indirect_mispredict_pct", itp_rate.mean());
     builder.addMetric("base_indirect_mpki", base_mpki.mean());
     builder.addMetric("itp_indirect_mpki", itp_mpki.mean());
-    builder.setSweep(sweep_wall, jobs);
+    builder.setSweep(sweep.run.wallSeconds, bench::effectiveJobs(options));
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ext_indirect");
     return 0;

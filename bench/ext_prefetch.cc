@@ -13,7 +13,6 @@
 #include "bench_common.hh"
 #include "stats/running_stats.hh"
 #include "stats/table.hh"
-#include "workload/suite.hh"
 
 int
 main(int argc, char **argv)
@@ -21,44 +20,29 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions = cli.getUint("instructions", 0);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "ext_prefetch");
-
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    const core::SuiteOptions options =
+        bench::suiteOptions(cli, 8, 0, "ext_prefetch");
+    const std::uint32_t num_traces = options.numTraces;
 
     const std::uint32_t degrees[] = {0, 1, 2};
 
-    struct PerTrace
-    {
-        double lru[3] = {}, ghrp[3] = {};
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> rows = bench::mapTraceSweep(
-        specs, instructions, jobs, 2 * std::size(degrees),
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            for (std::size_t d = 0; d < std::size(degrees); ++d) {
-                frontend::FrontendConfig cfg;
-                cfg.nextLinePrefetch = degrees[d];
-                cfg.policy = frontend::PolicyKind::Lru;
-                out.lru[d] = frontend::simulateTrace(cfg, tr).icacheMpki;
-                cfg.policy = frontend::PolicyKind::Ghrp;
-                out.ghrp[d] = frontend::simulateTrace(cfg, tr).icacheMpki;
-            }
-            return out;
-        },
-        &sweep_wall);
+    // Leg 2d is LRU at degrees[d], leg 2d + 1 is GHRP.
+    std::vector<frontend::FrontendConfig> legs;
+    for (std::uint32_t degree : degrees) {
+        frontend::FrontendConfig cfg = options.base;
+        cfg.nextLinePrefetch = degree;
+        cfg.policy = frontend::PolicyKind::Lru;
+        legs.push_back(cfg);
+        cfg.policy = frontend::PolicyKind::Ghrp;
+        legs.push_back(cfg);
+    }
+    const auto sweep = bench::sweepConfigs(options, legs);
 
     stats::RunningStats lru_acc[3], ghrp_acc[3];
-    for (const PerTrace &row : rows) {
+    for (const std::vector<frontend::FrontendResult> &row : sweep.cells) {
         for (std::size_t d = 0; d < std::size(degrees); ++d) {
-            lru_acc[d].add(row.lru[d]);
-            ghrp_acc[d].add(row.ghrp[d]);
+            lru_acc[d].add(row[2 * d].icacheMpki);
+            ghrp_acc[d].add(row[2 * d + 1].icacheMpki);
         }
     }
 
@@ -89,8 +73,8 @@ main(int argc, char **argv)
         builder.addMetric(key + "_lru_mpki", lru_acc[d].mean());
         builder.addMetric(key + "_ghrp_mpki", ghrp_acc[d].mean());
     }
-    builder.setSweep(sweep_wall, jobs,
-                     specs.size() * 2 * std::size(degrees));
+    builder.setSweep(sweep.run.wallSeconds, bench::effectiveJobs(options),
+                     sweep.legs());
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "ext_prefetch");
     return 0;

@@ -24,6 +24,8 @@ main(int argc, char **argv)
     const std::uint64_t instructions =
         cli.getUint("instructions", 4'000'000);
     const std::string pgm_prefix = cli.getString("pgm", "");
+    const unsigned jobs =
+        bench::effectiveJobs(static_cast<unsigned>(cli.getUint("jobs", 0)));
     bench::initTelemetry(cli, "fig05_btb_heatmap");
 
     const trace::Trace tr = workload::buildTrace(spec, instructions);
@@ -47,8 +49,7 @@ main(int argc, char **argv)
     std::vector<PolicyOutput> outputs(num_policies);
     const auto sweep_start = std::chrono::steady_clock::now();
     {
-        util::ThreadPool pool(
-            static_cast<unsigned>(cli.getUint("jobs", 0)));
+        util::ThreadPool pool(jobs);
         std::vector<std::future<void>> legs;
         legs.reserve(num_policies);
         for (std::size_t p = 0; p < num_policies; ++p)
@@ -104,8 +105,7 @@ main(int argc, char **argv)
         efficiency.set(policy, std::move(outputs[p].matrix));
     }
     builder.addExtra("efficiency", std::move(efficiency));
-    builder.setSweep(sweep_wall,
-                     static_cast<unsigned>(cli.getUint("jobs", 0)));
+    builder.setSweep(sweep_wall, jobs);
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "fig05_btb_heatmap");
     return 0;

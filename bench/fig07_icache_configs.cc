@@ -17,13 +17,9 @@ main(int argc, char **argv)
     using namespace ghrp;
 
     core::CliOptions cli(argc, argv);
-    const auto num_traces =
-        static_cast<std::uint32_t>(cli.getUint("traces", 8));
-    const std::uint64_t instructions =
-        cli.getUint("instructions", 4'000'000);
-    const std::uint64_t base_seed = cli.getUint("seed", 42);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
-    bench::initTelemetry(cli, "fig07_icache_configs");
+    const core::SuiteOptions options =
+        bench::suiteOptions(cli, 8, 4'000'000, "fig07_icache_configs");
+    const std::uint32_t num_traces = options.numTraces;
 
     struct Config
     {
@@ -33,42 +29,29 @@ main(int argc, char **argv)
     const Config configs[] = {{8, 4},  {8, 8},  {16, 4}, {16, 8},
                               {32, 4}, {32, 8}, {64, 4}, {64, 8}};
 
-    const std::vector<workload::TraceSpec> specs =
-        workload::makeSuite(num_traces, base_seed);
+    // Leg c * 5 + p is configuration c under paper policy p.
+    std::vector<frontend::FrontendConfig> legs;
+    for (const Config &c : configs) {
+        for (frontend::PolicyKind policy : frontend::paperPolicies) {
+            frontend::FrontendConfig config = options.base;
+            config.policy = policy;
+            config.icache = cache::CacheConfig::icache(c.kb, c.assoc);
+            legs.push_back(config);
+        }
+    }
+    const auto sweep = bench::sweepLegs(
+        options, legs.size(),
+        [&](std::size_t n, const trace::DecodedTrace &dec) {
+            return frontend::simulateDecoded(legs[n], dec).icacheMpki;
+        });
 
-    // Per-trace MPKI grid, computed one trace per pool job; the serial
-    // reduction below keeps the summation order fixed.
-    struct PerTrace
-    {
-        double mpki[8][5] = {};
-    };
-    double sweep_wall = 0.0;
-    const std::vector<PerTrace> grids = bench::mapTraceSweep(
-        specs, instructions, jobs,
-        std::size(configs) * std::size(frontend::paperPolicies),
-        [&](const workload::TraceSpec &, const trace::Trace &tr) {
-            PerTrace out;
-            for (std::size_t c = 0; c < std::size(configs); ++c) {
-                for (std::size_t p = 0;
-                     p < std::size(frontend::paperPolicies); ++p) {
-                    frontend::FrontendConfig config;
-                    config.policy = frontend::paperPolicies[p];
-                    config.icache = cache::CacheConfig::icache(
-                        configs[c].kb, configs[c].assoc);
-                    out.mpki[c][p] =
-                        frontend::simulateTrace(config, tr).icacheMpki;
-                }
-            }
-            return out;
-        },
-        &sweep_wall);
-
-    // means[config][policy]
+    // means[config][policy]; the serial reduction keeps the summation
+    // order fixed.
     double sums[8][5] = {};
-    for (const PerTrace &grid : grids)
+    for (const std::vector<double> &mpki : sweep.cells)
         for (std::size_t c = 0; c < std::size(configs); ++c)
             for (std::size_t p = 0; p < 5; ++p)
-                sums[c][p] += grid.mpki[c][p];
+                sums[c][p] += mpki[c * 5 + p];
 
     std::printf("=== Figure 7: average I-cache MPKI by configuration "
                 "(%u traces) ===\n\n",
@@ -101,9 +84,8 @@ main(int argc, char **argv)
                     "_mpki",
                 sums[c][p] / static_cast<double>(num_traces));
     }
-    builder.setSweep(sweep_wall, jobs,
-                     specs.size() * std::size(configs) *
-                         std::size(frontend::paperPolicies));
+    builder.setSweep(sweep.run.wallSeconds, bench::effectiveJobs(options),
+                     sweep.legs());
     bench::maybeWriteReport(cli, builder.finish());
     bench::writeTraceIfRequested(cli, "fig07_icache_configs");
     return 0;

@@ -18,7 +18,8 @@
 #include <vector>
 
 #include "core/cli.hh"
-#include "trace/fetch_stream.hh"
+#include "core/opt.hh"
+#include "trace/decoded_trace.hh"
 #include "util/bit_ops.hh"
 #include "workload/suite.hh"
 
@@ -34,21 +35,33 @@ struct AccessStream
     std::uint64_t instructions = 0;
 };
 
+/** The I-cache accesses: @p dec's fetch ops, already coalesced as
+ *  the front-end's fetch buffer sees them (64B blocks). */
 AccessStream
-collectStream(const trace::Trace &tr)
+collectStream(const trace::DecodedTrace &dec)
 {
     AccessStream stream;
-    stream.blocks.reserve(tr.records.size() * 2);
-    trace::FetchStreamWalker walker(tr.entryPc, 64, 4);
-    Addr last_block = ~Addr{0};
-    for (const trace::BranchRecord &rec : tr.records)
-        walker.advance(rec, [&](Addr block) {
-            if (block == last_block)
-                return;
-            last_block = block;
-            stream.blocks.push_back(block);
-        });
-    stream.instructions = walker.instructionCount();
+    stream.blocks.reserve(dec.numFetchOps());
+    for (const Addr pc : dec.fetchPc)
+        stream.blocks.push_back(pc & ~Addr{63});
+    stream.instructions = dec.totalInstructions();
+    return stream;
+}
+
+AccessStream
+collectBtbStream(const trace::DecodedTrace &dec)
+{
+    AccessStream stream;
+    for (std::size_t i = 0; i < dec.numRecords(); ++i) {
+        const std::uint8_t meta = dec.brMeta[i];
+        // Only taken non-return branches access the BTB (returns use
+        // the RAS). Shift so entry-granular set indexing works with
+        // the generic >>6 machinery below (entries are 4B slots).
+        if (trace::branch_meta::taken(meta) &&
+            !trace::branch_meta::isReturn(meta))
+            stream.blocks.push_back(dec.brPc[i] << 4);  // (pc>>2) << 6
+    }
+    stream.instructions = dec.totalInstructions();
     return stream;
 }
 
@@ -122,67 +135,19 @@ simulateLru(const AccessStream &stream, std::uint32_t sets,
     return out;
 }
 
-/** Belady's OPT misses (per-set, using future reference positions). */
+/** Belady's OPT misses (with bypass) over the stream's 64B-granular
+ *  keys; key-mod-sets equals the (block>>6)&(sets-1) set mapping
+ *  above for power-of-two @p sets. */
 std::uint64_t
-simulateOpt(const AccessStream &stream, std::uint32_t sets,
-            std::uint32_t ways)
+optMisses(const AccessStream &stream, std::uint32_t sets,
+          std::uint32_t ways)
 {
-    // Pre-pass: for each access, the index of the next access to the
-    // same block (or "infinity").
-    const std::uint64_t n = stream.blocks.size();
-    const std::uint64_t inf = ~std::uint64_t{0};
-    std::vector<std::uint64_t> next_use(n, inf);
-    std::unordered_map<Addr, std::uint64_t> last_pos;
-    for (std::uint64_t i = n; i-- > 0;) {
-        const Addr block = stream.blocks[i];
-        const auto it = last_pos.find(block);
-        next_use[i] = it == last_pos.end() ? inf : it->second;
-        last_pos[block] = i;
-    }
-
-    struct Line
-    {
-        Addr tag;
-        std::uint64_t nextUse;
-    };
-    std::vector<std::vector<Line>> cache(sets);
-    std::uint64_t misses = 0;
-
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr block = stream.blocks[i];
-        const std::uint32_t set =
-            static_cast<std::uint32_t>((block >> 6) & (sets - 1));
-        auto &lines = cache[set];
-
-        bool hit = false;
-        for (Line &line : lines) {
-            if (line.tag == block) {
-                line.nextUse = next_use[i];
-                hit = true;
-                break;
-            }
-        }
-        if (hit)
-            continue;
-        ++misses;
-        if (lines.size() < ways) {
-            lines.push_back({block, next_use[i]});
-            continue;
-        }
-        // Evict the line referenced farthest in the future. OPT with
-        // bypass: if the incoming block's next use is farther than
-        // every resident line's, do not cache it at all.
-        std::size_t victim = 0;
-        for (std::size_t w = 1; w < lines.size(); ++w)
-            if (lines[w].nextUse > lines[victim].nextUse)
-                victim = w;
-        if (next_use[i] >= lines[victim].nextUse)
-            continue;  // bypass
-        lines[victim] = {block, next_use[i]};
-    }
-    return misses;
+    std::vector<std::uint64_t> keys;
+    keys.reserve(stream.blocks.size());
+    for (Addr block : stream.blocks)
+        keys.push_back(block >> 6);
+    return core::simulateOptStream(keys, sets, ways).misses;
 }
-
 
 /**
  * Signature informativeness: replay the stream under LRU, tagging each
@@ -275,28 +240,6 @@ measureInformativeness(const AccessStream &stream, std::uint32_t sets,
 
 } // anonymous namespace
 
-namespace
-{
-
-AccessStream
-collectBtbStream(const trace::Trace &tr)
-{
-    AccessStream stream;
-    trace::FetchStreamWalker walker(tr.entryPc, 64, 4);
-    for (const trace::BranchRecord &rec : tr.records) {
-        walker.advance(rec, [](Addr) {});
-        // Only taken non-return branches access the BTB (returns use
-        // the RAS). Shift so entry-granular set indexing works with
-        // the generic >>6 machinery below (entries are 4B slots).
-        if (rec.taken && rec.type != trace::BranchType::Return)
-            stream.blocks.push_back(rec.pc << 4);  // (pc>>2) << 6
-    }
-    stream.instructions = walker.instructionCount();
-    return stream;
-}
-
-} // anonymous namespace
-
 int
 main(int argc, char **argv)
 {
@@ -312,11 +255,12 @@ main(int argc, char **argv)
     const auto assoc = static_cast<std::uint32_t>(cli.getUint("assoc", 8));
     const std::uint32_t sets = kb * 1024 / 64 / assoc;
 
-    const trace::Trace tr = workload::buildTrace(spec, instructions);
-    const AccessStream stream = collectStream(tr);
+    const trace::DecodedTrace dec =
+        trace::decodeTrace(workload::buildTrace(spec, instructions), 64, 4);
+    const AccessStream stream = collectStream(dec);
 
     const LruOutcome lru = simulateLru(stream, sets, assoc);
-    const std::uint64_t opt = simulateOpt(stream, sets, assoc);
+    const std::uint64_t opt = optMisses(stream, sets, assoc);
 
     const double to_mpki =
         1000.0 / static_cast<double>(stream.instructions);
@@ -436,11 +380,11 @@ main(int argc, char **argv)
     const auto btb_assoc =
         static_cast<std::uint32_t>(cli.getUint("btb-assoc", 8));
     const std::uint32_t btb_sets = btb_entries / btb_assoc;
-    const AccessStream btb_stream = collectBtbStream(tr);
+    const AccessStream btb_stream = collectBtbStream(dec);
     const LruOutcome btb_lru =
         simulateLru(btb_stream, btb_sets, btb_assoc);
     const std::uint64_t btb_opt =
-        simulateOpt(btb_stream, btb_sets, btb_assoc);
+        optMisses(btb_stream, btb_sets, btb_assoc);
     std::printf("\nBTB %u-entry %u-way: %zu taken accesses\n",
                 btb_entries, btb_assoc, btb_stream.blocks.size());
     std::printf("  LRU misses %llu (%.3f MPKI, %llu compulsory); OPT %llu "

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "trace/fetch_stream.hh"
+#include "util/bit_ops.hh"
 #include "util/logging.hh"
 
 namespace ghrp::core
@@ -77,46 +77,40 @@ simulateOptStream(const std::vector<std::uint64_t> &keys,
 }
 
 OptResult
-simulateOptIcache(const trace::Trace &tr, const cache::CacheConfig &config)
+simulateOptIcache(const trace::DecodedTrace &dec,
+                  const cache::CacheConfig &config)
 {
+    GHRP_ASSERT(dec.blockBytes == config.blockBytes);
+    // Decoding already coalesced consecutive fetches of one block, so
+    // every fetch op is one I-cache access.
     const unsigned shift = floorLog2(config.blockBytes);
     std::vector<std::uint64_t> keys;
-    keys.reserve(tr.records.size() * 2);
-
-    trace::FetchStreamWalker walker(tr.entryPc, config.blockBytes);
-    std::uint64_t last_key = ~std::uint64_t{0};
-    for (const trace::BranchRecord &rec : tr.records) {
-        walker.advance(rec, [&](Addr block) {
-            const std::uint64_t key = block >> shift;
-            if (key == last_key)
-                return;  // fetch-buffer coalescing
-            last_key = key;
-            keys.push_back(key);
-        });
-    }
+    keys.reserve(dec.numFetchOps());
+    for (const Addr pc : dec.fetchPc)
+        keys.push_back(pc >> shift);
 
     OptResult result =
         simulateOptStream(keys, config.numSets(), config.assoc);
-    result.instructions = walker.instructionCount();
+    result.instructions = dec.totalInstructions();
     return result;
 }
 
 OptResult
-simulateOptBtb(const trace::Trace &tr, const cache::CacheConfig &config)
+simulateOptBtb(const trace::DecodedTrace &dec,
+               const cache::CacheConfig &config)
 {
     std::vector<std::uint64_t> keys;
-    keys.reserve(tr.records.size() / 2);
-
-    trace::FetchStreamWalker walker(tr.entryPc);
-    for (const trace::BranchRecord &rec : tr.records) {
-        walker.advance(rec, [](Addr) {});
-        if (rec.taken && rec.type != trace::BranchType::Return)
-            keys.push_back(rec.pc >> 2);
+    keys.reserve(dec.numRecords() / 2);
+    for (std::size_t i = 0; i < dec.numRecords(); ++i) {
+        const std::uint8_t meta = dec.brMeta[i];
+        if (trace::branch_meta::taken(meta) &&
+            !trace::branch_meta::isReturn(meta))
+            keys.push_back(dec.brPc[i] >> 2);
     }
 
     OptResult result =
         simulateOptStream(keys, config.numSets(), config.assoc);
-    result.instructions = walker.instructionCount();
+    result.instructions = dec.totalInstructions();
     return result;
 }
 

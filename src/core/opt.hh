@@ -2,8 +2,8 @@
  * @file
  * Belady's OPT (the clairvoyant offline replacement optimum) for the
  * I-cache and the BTB. OPT needs future knowledge, so it cannot be a
- * cache::ReplacementPolicy; instead it replays a whole trace in two
- * passes. Used to bound the headroom available to *any* online
+ * cache::ReplacementPolicy; instead it replays a whole decoded trace
+ * in two passes. Used to bound the headroom available to *any* online
  * replacement policy on a given workload (EXPERIMENTS.md fidelity
  * analysis).
  */
@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "cache/config.hh"
-#include "trace/branch_record.hh"
+#include "trace/decoded_trace.hh"
 
 namespace ghrp::core
 {
@@ -38,20 +38,21 @@ struct OptResult
 };
 
 /**
- * Replay @p tr's fetch-block stream (with fetch-buffer coalescing, as
- * the front-end does) through an OPT-managed I-cache of geometry
- * @p config. OPT here includes optimal bypass: an incoming block whose
- * next use is farther than every resident block's is not cached.
+ * Replay @p dec's fetch ops (already fetch-buffer coalesced, as the
+ * front-end sees them) through an OPT-managed I-cache of geometry
+ * @p config; @p dec must be decoded at config.blockBytes. OPT here
+ * includes optimal bypass: an incoming block whose next use is
+ * farther than every resident block's is not cached.
  */
-OptResult simulateOptIcache(const trace::Trace &tr,
+OptResult simulateOptIcache(const trace::DecodedTrace &dec,
                             const cache::CacheConfig &config);
 
 /**
- * Replay @p tr's taken-branch stream through an OPT-managed BTB of
+ * Replay @p dec's taken-branch stream through an OPT-managed BTB of
  * geometry @p config (from CacheConfig::btb). Returns use the RAS and
  * are excluded, matching the front-end's default.
  */
-OptResult simulateOptBtb(const trace::Trace &tr,
+OptResult simulateOptBtb(const trace::DecodedTrace &dec,
                          const cache::CacheConfig &config);
 
 /**

@@ -181,15 +181,18 @@ class SweepSink
     }
 
     /** True when every policy leg of @p trace_index is skipped — the
-     *  trace build itself can then be elided on resume. */
+     *  trace build itself can then be elided on resume. Those legs
+     *  are ticked here. */
     bool
-    allSkipped(std::size_t trace_index) const
+    elide(std::size_t trace_index)
     {
         if (!hooks.skipLeg || options.policies.empty())
             return false;
         for (const frontend::PolicySpec &policy : options.policies)
             if (!hooks.skipLeg(trace_index, policy))
                 return false;
+        for (const frontend::PolicySpec &policy : options.policies)
+            tick(trace_index, policy, nullptr, 0.0);
         return true;
     }
 
@@ -356,43 +359,51 @@ buildDecoded(const workload::TraceSpec &spec, const SuiteOptions &options,
     return DecodedPtr(std::move(dec));
 }
 
+/**
+ * The legs of one sweep: legsPerTrace legs per trace, each run by
+ * runLeg on the trace's shared decoded stream. elide (optional) is
+ * asked once per trace before its build; true means every leg of that
+ * trace is accounted for elsewhere, so neither the build nor the legs
+ * run.
+ */
+struct LegPlan
+{
+    std::size_t legsPerTrace = 0;
+    std::function<bool(std::size_t)> elide;
+    LegFn runLeg;
+};
+
 /** Serial reference path: same slot discipline, no threads. */
 void
-runSerial(SweepSink &sink, const SuiteResults &out,
+runSerial(const LegPlan &plan, const SweepRun &out,
           const SuiteOptions &options, workload::TraceStore &store,
           const RunHooks &hooks)
 {
     for (std::size_t i = 0; i < out.specs.size(); ++i) {
         if (hooks.cancelled && hooks.cancelled())
             return;
-        // A fully-journaled trace never needs acquiring or decoding on
-        // resume — tick its legs and move on.
-        if (sink.allSkipped(i)) {
-            for (const frontend::PolicySpec &policy : options.policies)
-                sink.preempted(i, policy);
+        if (plan.elide && plan.elide(i))
             continue;
-        }
         // Acquire and decode the trace once and reuse the stream for
-        // every policy so the comparison is paired (identical access
+        // every leg so the comparison is paired (identical access
         // streams) and the decode cost is paid once, not per leg. The
-        // direction predictor is policy-independent, so its stream is
+        // direction predictor is leg-independent, so its stream is
         // resolved here too instead of once per leg.
         const DecodedPtr dec = buildDecoded(out.specs[i], options, store);
-        for (const frontend::PolicySpec &policy : options.policies)
-            sink.runLeg(i, policy, *dec);
+        for (std::size_t leg = 0; leg < plan.legsPerTrace; ++leg)
+            plan.runLeg(i, leg, *dec);
     }
 }
 
 /**
- * Parallel path: every (trace, policy) leg is an independent pool job.
- * The decoded stream for leg (i, *) is produced by a per-trace job
- * (store lookup or generation, then one decode) and shared read-only
- * by that trace's legs via shared_ptr; builds run at most `window`
- * traces ahead of the harvest cursor so memory stays bounded on large
- * suites.
+ * Parallel path: every (trace, leg) is an independent pool job. The
+ * decoded stream for leg (i, *) is produced by a per-trace job (store
+ * lookup or generation, then one decode) and shared read-only by that
+ * trace's legs via shared_ptr; builds run at most `window` traces
+ * ahead of the harvest cursor so memory stays bounded on large suites.
  */
 void
-runParallel(SweepSink &sink, const SuiteResults &out,
+runParallel(const LegPlan &plan, const SweepRun &out,
             const SuiteOptions &options, workload::TraceStore &store,
             util::ThreadPool &pool, const RunHooks &hooks,
             TaskThrottle *throttle, unsigned lease)
@@ -419,7 +430,7 @@ runParallel(SweepSink &sink, const SuiteResults &out,
             // first unscheduled build.
             if (hooks.cancelled && hooks.cancelled())
                 return;
-            if (sink.allSkipped(next_build)) {
+            if (plan.elide && plan.elide(next_build)) {
                 elided[next_build] = 1;
                 continue;
             }
@@ -434,8 +445,6 @@ runParallel(SweepSink &sink, const SuiteResults &out,
     pump(window);
     for (std::size_t i = 0; i < num_traces; ++i) {
         if (elided[i]) {
-            for (const frontend::PolicySpec &policy : options.policies)
-                sink.preempted(i, policy);
             pump(i + 1 + window);
             continue;
         }
@@ -443,11 +452,11 @@ runParallel(SweepSink &sink, const SuiteResults &out,
             break;  // cancelled before this trace's build was scheduled
         const DecodedPtr dec = builds[i].get();  // rethrows build errors
         builds[i] = {};
-        legs[i].reserve(options.policies.size());
-        for (const frontend::PolicySpec &policy : options.policies)
+        legs[i].reserve(plan.legsPerTrace);
+        for (std::size_t leg = 0; leg < plan.legsPerTrace; ++leg)
             legs[i].push_back(submitLeased(
-                pool, throttle, [&sink, i, policy, dec]() {
-                    sink.runLeg(i, policy, *dec);
+                pool, throttle, [&plan, i, leg, dec]() {
+                    plan.runLeg(i, leg, *dec);
                 }));
         // Keep at most `window` traces with outstanding legs before
         // opening new builds, then harvest (and rethrow from) the
@@ -466,6 +475,43 @@ runParallel(SweepSink &sink, const SuiteResults &out,
                 f.get();
 }
 
+/** Run @p plan over out.specs on the path options and hooks select,
+ *  then record the sweep's wall time and trace-store traffic. */
+void
+runPlan(SweepRun &out, const LegPlan &plan, const SuiteOptions &options,
+        const RunHooks &hooks)
+{
+    workload::TraceStore store(options.traceCacheDir);
+    const unsigned jobs =
+        options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
+
+    const auto start = std::chrono::steady_clock::now();
+    if (hooks.pool) {
+        // Shared pool: options.jobs is this run's thread lease, and a
+        // throttle keeps at most that many of its tasks in flight so
+        // concurrent runs on the same pool share the budget fairly.
+        const unsigned lease =
+            std::min(std::max(jobs, 1u), hooks.pool->size());
+        TaskThrottle throttle(lease);
+        runParallel(plan, out, options, store, *hooks.pool, hooks,
+                    &throttle, lease);
+    } else if (jobs <= 1 || out.specs.size() * plan.legsPerTrace <= 1) {
+        runSerial(plan, out, options, store, hooks);
+    } else {
+        // Destroyed before the caller's result slots, so no job
+        // outlives the state it references even on exception unwind.
+        util::ThreadPool pool(jobs);
+        runParallel(plan, out, options, store, pool, hooks, nullptr,
+                    pool.size());
+    }
+    out.wallSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    out.traceStore = store.stats();
+    out.traceStoreEnabled = store.enabled();
+}
+
 } // anonymous namespace
 
 SuiteResults
@@ -480,36 +526,46 @@ runSuite(const SuiteOptions &options, const ProgressFn &progress,
     out.specs = workload::makeSuite(options.numTraces, options.baseSeed);
 
     SweepSink sink(out, options, progress, hooks);
-    workload::TraceStore store(options.traceCacheDir);
-    const unsigned jobs =
-        options.jobs ? options.jobs : util::ThreadPool::hardwareJobs();
+    LegPlan plan;
+    plan.legsPerTrace = options.policies.size();
+    plan.elide = [&sink](std::size_t i) { return sink.elide(i); };
+    plan.runLeg = [&sink, &options](std::size_t i, std::size_t leg,
+                                    const trace::DecodedTrace &dec) {
+        sink.runLeg(i, options.policies[leg], dec);
+    };
+    runPlan(out, plan, options, hooks);
+    return out;
+}
 
-    const auto start = std::chrono::steady_clock::now();
-    if (hooks.pool) {
-        // Shared pool: options.jobs is this run's thread lease, and a
-        // throttle keeps at most that many of its tasks in flight so
-        // concurrent runs on the same pool share the budget fairly.
-        const unsigned lease =
-            std::min(std::max(jobs, 1u), hooks.pool->size());
-        TaskThrottle throttle(lease);
-        runParallel(sink, out, options, store, *hooks.pool, hooks,
-                    &throttle, lease);
-    } else if (jobs <= 1 ||
-               out.specs.size() * options.policies.size() <= 1) {
-        runSerial(sink, out, options, store, hooks);
-    } else {
-        // Destroyed before `out` and `sink`, so no job outlives the
-        // state it references even on exception unwind.
-        util::ThreadPool pool(jobs);
-        runParallel(sink, out, options, store, pool, hooks, nullptr,
-                    pool.size());
-    }
-    out.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    out.traceStore = store.stats();
-    out.traceStoreEnabled = store.enabled();
+SweepRun
+runSuiteLegs(const SuiteOptions &options, std::size_t legs_per_trace,
+             const LegFn &leg, const ProgressFn &progress)
+{
+    SweepRun out;
+    TELEMETRY_SPAN("sweep", std::to_string(options.numTraces) +
+                                " traces x " +
+                                std::to_string(legs_per_trace) + " legs");
+    out.specs = workload::makeSuite(options.numTraces, options.baseSeed);
+
+    const std::size_t total = out.specs.size() * legs_per_trace;
+    std::mutex progress_mutex;
+    std::size_t done = 0;
+    LegPlan plan;
+    plan.legsPerTrace = legs_per_trace;
+    plan.runLeg = [&](std::size_t i, std::size_t n,
+                      const trace::DecodedTrace &dec) {
+        {
+            TELEMETRY_SPAN("simulate", out.specs[i].name + " / leg " +
+                                           std::to_string(n));
+            leg(i, n, dec);
+        }
+        sweepMetrics().legs.add();
+        if (!progress)
+            return;
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        progress(++done, total, out.specs[i].name);
+    };
+    runPlan(out, plan, options, {});
     return out;
 }
 

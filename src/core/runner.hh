@@ -67,10 +67,22 @@ struct SuiteOptions
     double slowLegMs = 0.0;
 };
 
-/** All results of a suite run. */
-struct SuiteResults
+/** What every sweep over the suite reports, whatever its legs. */
+struct SweepRun
 {
     std::vector<workload::TraceSpec> specs;
+    /** End-to-end wall-clock seconds for the whole sweep. */
+    double wallSeconds = 0.0;
+
+    /** Trace-store traffic for this run (zeros when disabled). */
+    workload::TraceStore::Stats traceStore;
+    /** Whether a trace store directory was in effect. */
+    bool traceStoreEnabled = false;
+};
+
+/** All results of a suite run. */
+struct SuiteResults : SweepRun
+{
     /** results[policy][trace index] */
     std::map<frontend::PolicySpec, std::vector<frontend::FrontendResult>>
         results;
@@ -79,13 +91,6 @@ struct SuiteResults
      *  stream: legSeconds[policy][trace index]. Timing only — excluded
      *  from the determinism guarantee. */
     std::map<frontend::PolicySpec, std::vector<double>> legSeconds;
-    /** End-to-end wall-clock seconds for the whole sweep. */
-    double wallSeconds = 0.0;
-
-    /** Trace-store traffic for this run (zeros when disabled). */
-    workload::TraceStore::Stats traceStore;
-    /** Whether a trace store directory was in effect. */
-    bool traceStoreEnabled = false;
 
     /** Number of (trace, policy) legs simulated. */
     std::size_t totalLegs() const;
@@ -225,6 +230,30 @@ struct RunHooks
 SuiteResults runSuite(const SuiteOptions &options,
                       const ProgressFn &progress = nullptr,
                       const RunHooks &hooks = {});
+
+/**
+ * One caller-defined leg: (trace index, leg index, the trace's decoded
+ * stream). Called from worker threads; the stream is shared read-only
+ * by every leg of its trace.
+ */
+using LegFn = std::function<void(std::size_t, std::size_t,
+                                 const trace::DecodedTrace &)>;
+
+/**
+ * runSuite's trace path with caller-defined legs: each trace of the
+ * suite is acquired, decoded and direction-resolved exactly as
+ * runSuite does it (trace store, `.dir<kind>` sidecar, bounded
+ * window, options.jobs pool), then @p leg runs once per leg index in
+ * [0, @p legs_per_trace), one pool task per leg. options.policies is
+ * not used; options.base fixes the decode granularity and the
+ * direction kind of the shared stream. For config sweeps, ablations
+ * and OPT replays that need more than one FrontendConfig per trace.
+ * The callee writes its own pre-sized slots, so results are
+ * deterministic at any options.jobs. Progress ticks once per leg.
+ */
+SweepRun runSuiteLegs(const SuiteOptions &options,
+                      std::size_t legs_per_trace, const LegFn &leg,
+                      const ProgressFn &progress = nullptr);
 
 } // namespace ghrp::core
 

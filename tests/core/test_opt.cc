@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/opt.hh"
-#include "util/random.hh"
 #include "frontend/frontend.hh"
+#include "trace/fetch_stream.hh"
+#include "util/bit_ops.hh"
+#include "util/random.hh"
 #include "workload/suite.hh"
 
 namespace
@@ -91,7 +93,8 @@ TEST(OptIcache, LowerBoundsOnlinePolicies)
     const trace::Trace tr = workload::buildTrace(spec, 1'000'000);
 
     const cache::CacheConfig cfg = cache::CacheConfig::icache(64, 8);
-    const OptResult opt = core::simulateOptIcache(tr, cfg);
+    const OptResult opt =
+        core::simulateOptIcache(trace::decodeTrace(tr, 64, 4), cfg);
 
     frontend::FrontendConfig fcfg;
     fcfg.warmupFraction = 0.0;  // compare cold-start to cold-start
@@ -114,7 +117,8 @@ TEST(OptBtb, LowerBoundsOnlinePolicies)
     const trace::Trace tr = workload::buildTrace(spec, 1'000'000);
 
     const cache::CacheConfig cfg = cache::CacheConfig::btb(4096, 4);
-    const OptResult opt = core::simulateOptBtb(tr, cfg);
+    const OptResult opt =
+        core::simulateOptBtb(trace::decodeTrace(tr, 64, 4), cfg);
 
     frontend::FrontendConfig fcfg;
     fcfg.warmupFraction = 0.0;
@@ -136,6 +140,62 @@ TEST(OptResultStruct, Mpki)
     EXPECT_DOUBLE_EQ(r.mpki(), 5.0);
     r.instructions = 0;
     EXPECT_EQ(r.mpki(), 0.0);
+}
+
+/**
+ * The decoded-stream OPT replays must equal OPT over key streams built
+ * independently from the branch records with FetchStreamWalker: the
+ * walker's blocks coalesced as the front-end's fetch buffer does for
+ * the I-cache, and taken non-return branches for the BTB.
+ */
+TEST(OptDecoded, MatchesWalkerKeyStreamsForEveryCategory)
+{
+    const cache::CacheConfig icache = cache::CacheConfig::icache(16, 4);
+    const cache::CacheConfig btb = cache::CacheConfig::btb(1024, 4);
+    for (workload::Category category :
+         {workload::Category::ShortMobile, workload::Category::LongMobile,
+          workload::Category::ShortServer,
+          workload::Category::LongServer}) {
+        SCOPED_TRACE(workload::categoryName(category));
+        workload::TraceSpec spec;
+        spec.category = category;
+        spec.seed = 29;
+        spec.name = "opt-decoded";
+        const trace::Trace tr = workload::buildTrace(spec, 300'000);
+
+        std::vector<std::uint64_t> block_keys, btb_keys;
+        trace::FetchStreamWalker walker(tr.entryPc, icache.blockBytes);
+        const unsigned shift = floorLog2(icache.blockBytes);
+        std::uint64_t last_key = ~std::uint64_t{0};
+        for (const trace::BranchRecord &rec : tr.records) {
+            walker.advance(rec, [&](Addr block) {
+                if (block >> shift != last_key)
+                    block_keys.push_back(last_key = block >> shift);
+            });
+            if (rec.taken && rec.type != trace::BranchType::Return)
+                btb_keys.push_back(rec.pc >> 2);
+        }
+        ASSERT_FALSE(block_keys.empty());
+        ASSERT_FALSE(btb_keys.empty());
+
+        const trace::DecodedTrace dec =
+            trace::decodeTrace(tr, icache.blockBytes, 4);
+        const OptResult want_icache =
+            simulateOptStream(block_keys, icache.numSets(), icache.assoc);
+        const OptResult got_icache = core::simulateOptIcache(dec, icache);
+        EXPECT_EQ(got_icache.accesses, want_icache.accesses);
+        EXPECT_EQ(got_icache.misses, want_icache.misses);
+        EXPECT_EQ(got_icache.compulsory, want_icache.compulsory);
+        EXPECT_EQ(got_icache.instructions, walker.instructionCount());
+
+        const OptResult want_btb =
+            simulateOptStream(btb_keys, btb.numSets(), btb.assoc);
+        const OptResult got_btb = core::simulateOptBtb(dec, btb);
+        EXPECT_EQ(got_btb.accesses, want_btb.accesses);
+        EXPECT_EQ(got_btb.misses, want_btb.misses);
+        EXPECT_EQ(got_btb.compulsory, want_btb.compulsory);
+        EXPECT_EQ(got_btb.instructions, walker.instructionCount());
+    }
 }
 
 } // anonymous namespace
