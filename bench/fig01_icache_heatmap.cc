@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "trace/decoded_trace.hh"
 #include "workload/suite.hh"
 
 int
@@ -30,7 +31,15 @@ main(int argc, char **argv)
         bench::effectiveJobs(static_cast<unsigned>(cli.getUint("jobs", 0)));
     bench::initTelemetry(cli, "fig01_icache_heatmap");
 
-    const trace::Trace tr = workload::buildTrace(spec, instructions);
+    frontend::FrontendConfig base;
+    base.icache = cache::CacheConfig::icache(16, 8);
+    base.trackEfficiency = true;
+    // Decode and resolve the direction stream once; the five policy
+    // legs share both.
+    trace::DecodedTrace dec =
+        trace::decodeTrace(workload::buildTrace(spec, instructions),
+                           base.icache.blockBytes, base.instBytes);
+    frontend::resolveDirectionStream(dec, base.direction);
 
     std::printf("=== Figure 1: I-cache efficiency heat map "
                 "(16KB 8-way, trace %s seed %llu) ===\n\n",
@@ -56,13 +65,10 @@ main(int argc, char **argv)
         legs.reserve(num_policies);
         for (std::size_t p = 0; p < num_policies; ++p)
             legs.push_back(pool.submit([&, p]() {
-                frontend::FrontendConfig config;
+                frontend::FrontendConfig config = base;
                 config.policy = frontend::paperPolicies[p];
-                config.icache = cache::CacheConfig::icache(16, 8);
-                config.trackEfficiency = true;
-
                 frontend::FrontendSim sim(config);
-                const frontend::FrontendResult r = sim.run(tr);
+                const frontend::FrontendResult r = sim.run(dec);
                 const stats::EfficiencyTracker &eff = *sim.icacheTracker();
 
                 char head[128];

@@ -86,6 +86,8 @@ main(int argc, char **argv)
                        1)});
     }
     std::printf("%s\n", summary.render().c_str());
+    std::printf("vs LRU %%: ratio of means, (mean MPKI / mean LRU MPKI "
+                "- 1) x 100, over all traces or over the subset.\n");
     std::printf("subset: %zu of %zu traces with >= 1 MPKI under LRU\n"
                 "paper:  GHRP -18%% vs LRU overall; -26%% on the subset; "
                 "Random/SDBP worse than LRU, SRRIP slightly better\n",

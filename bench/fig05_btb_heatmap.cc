@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "trace/decoded_trace.hh"
 #include "workload/suite.hh"
 
 int
@@ -28,7 +29,15 @@ main(int argc, char **argv)
         bench::effectiveJobs(static_cast<unsigned>(cli.getUint("jobs", 0)));
     bench::initTelemetry(cli, "fig05_btb_heatmap");
 
-    const trace::Trace tr = workload::buildTrace(spec, instructions);
+    frontend::FrontendConfig base;
+    base.btb = cache::CacheConfig::btb(256, 8);
+    base.trackEfficiency = true;
+    // Decode and resolve the direction stream once; the five policy
+    // legs share both.
+    trace::DecodedTrace dec =
+        trace::decodeTrace(workload::buildTrace(spec, instructions),
+                           base.icache.blockBytes, base.instBytes);
+    frontend::resolveDirectionStream(dec, base.direction);
 
     std::printf("=== Figure 5: BTB efficiency heat map "
                 "(256-entry 8-way, trace %s seed %llu) ===\n\n",
@@ -54,13 +63,10 @@ main(int argc, char **argv)
         legs.reserve(num_policies);
         for (std::size_t p = 0; p < num_policies; ++p)
             legs.push_back(pool.submit([&, p]() {
-                frontend::FrontendConfig config;
+                frontend::FrontendConfig config = base;
                 config.policy = frontend::paperPolicies[p];
-                config.btb = cache::CacheConfig::btb(256, 8);
-                config.trackEfficiency = true;
-
                 frontend::FrontendSim sim(config);
-                const frontend::FrontendResult r = sim.run(tr);
+                const frontend::FrontendResult r = sim.run(dec);
                 const stats::EfficiencyTracker &eff = *sim.btbTracker();
 
                 char head[128];

@@ -78,6 +78,8 @@ main(int argc, char **argv)
                                   1)});
     }
     std::printf("%s\n", summary.render().c_str());
+    std::printf("vs LRU %%: ratio of means, (mean MPKI / mean LRU MPKI "
+                "- 1) x 100.\n");
     std::printf("paper: GHRP -30.0%% vs LRU, -33.3%% vs Random, "
                 "-23.1%% vs SRRIP, -29.1%% vs SDBP\n");
     return 0;

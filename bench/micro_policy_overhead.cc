@@ -1,13 +1,13 @@
 /**
  * @file
  * Micro-benchmark (google-benchmark): per-access software cost of each
- * replacement policy on the I-cache model, of GHRP's prediction
- * primitives, of the decoded-stream front-end path against the
- * per-leg walker path, and of trace acquisition through the
- * content-addressed store (cold generate-and-persist vs. warm mmap),
- * and of the telemetry hot paths (counter add, histogram observe,
- * disabled/enabled spans) that back the subsystem's low-overhead
- * claim. These measure simulator overhead, not hardware latency — the
+ * replacement policy on the I-cache model, of the LRU recency stack
+ * they share, of GHRP's prediction primitives, of the decoded-stream
+ * front-end path against the per-leg walker path, and of trace
+ * acquisition through the content-addressed store (cold
+ * generate-and-persist vs. warm mmap), and of the telemetry hot paths
+ * (counter add, histogram observe, disabled/enabled spans) that back
+ * the subsystem's low-overhead claim. These measure simulator overhead, not hardware latency — the
  * paper argues all GHRP operations are off the critical path.
  */
 
@@ -22,6 +22,7 @@
 
 #include "cache/basic_policies.hh"
 #include "cache/cache.hh"
+#include "cache/lru_stack.hh"
 #include "frontend/frontend.hh"
 #include "predictor/ghrp.hh"
 #include "predictor/sdbp.hh"
@@ -114,6 +115,32 @@ BM_AccessGhrp(benchmark::State &state)
     });
 }
 BENCHMARK(BM_AccessGhrp);
+
+void
+BM_LruStackTouch(benchmark::State &state)
+{
+    // The recency update every LRU-ordered structure runs per hit and
+    // fill (LRU itself, GHRP, SDBP's stack and sampler), with the
+    // victim lookup a miss adds. Ways come from a precomputed stream
+    // so the loop measures the stack, not the RNG.
+    const auto ways = static_cast<std::uint32_t>(state.range(0));
+    constexpr std::uint32_t sets = 128;
+    Rng rng(0x57AC);
+    std::vector<std::uint32_t> stream(1 << 16);
+    for (std::uint32_t &v : stream)
+        v = static_cast<std::uint32_t>(rng.nextBounded(sets * ways));
+    cache::LruStack stack;
+    stack.reset(sets, ways);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::uint32_t set = stream[i] / ways;
+        stack.touch(set, stream[i] % ways);
+        benchmark::DoNotOptimize(stack.lruWay(set));
+        i = (i + 1) & (stream.size() - 1);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LruStackTouch)->Arg(4)->Arg(8)->Arg(16);
 
 void
 BM_GhrpSignature(benchmark::State &state)

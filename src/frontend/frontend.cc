@@ -752,7 +752,8 @@ FrontendSim::runWalker(const trace::Trace &tr)
 
     for (const trace::BranchRecord &rec : tr.records) {
         // ---- fetch the sequential run ending at this branch --------
-        const Addr run_start = walker.currentPc();
+        // A record behind the fetch PC resyncs the walker to rec.pc.
+        const Addr run_start = std::min(walker.currentPc(), rec.pc);
         walker.advance(rec, [&](Addr block_addr) {
             if (block_addr == last_block)
                 return;

@@ -13,11 +13,6 @@ GhrpPredictor::GhrpPredictor(const GhrpConfig &config)
 {
     GHRP_ASSERT(cfg.historyBits >= cfg.shiftPerAccess);
     GHRP_ASSERT(cfg.pcBitsPerAccess < cfg.shiftPerAccess);
-    // Signatures are at most historyBits wide (the history/PC XOR is
-    // masked); cache the whole index space when it is small enough,
-    // otherwise indicesFor falls back to computing live.
-    if (cfg.historyBits <= 16)
-        bank.enableIndexCache(1u << cfg.historyBits);
 }
 
 void
@@ -63,7 +58,7 @@ bool
 GhrpPredictor::vote(std::uint16_t sig, std::uint32_t majority_threshold,
                     std::uint32_t sum_threshold) const
 {
-    const TableIndices &idx = bank.indicesFor(sig);
+    const TableIndices idx = bank.computeIndices(sig);
     if (cfg.majorityVote)
         return bank.majorityVote(idx, majority_threshold);
     return bank.sumVote(idx, sum_threshold);
@@ -96,7 +91,7 @@ GhrpPredictor::predictBtbBypass(std::uint16_t sig) const
 void
 GhrpPredictor::train(std::uint16_t sig, bool dead)
 {
-    bank.train(bank.indicesFor(sig), dead);
+    bank.train(bank.computeIndices(sig), dead);
 }
 
 std::uint64_t

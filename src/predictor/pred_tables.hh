@@ -67,31 +67,6 @@ class PredictionTables
         return idx;
     }
 
-    /**
-     * Precompute the skewed indices of every signature below
-     * @p num_signatures (the signature space is small: 2^16 for GHRP,
-     * 2^12 for SDBP). The per-access triple multiply/shift then becomes
-     * one table load in indicesFor(). Identical values to
-     * computeIndices by construction.
-     */
-    void
-    enableIndexCache(std::uint32_t num_signatures)
-    {
-        indexLut.resize(num_signatures);
-        for (std::uint32_t sig = 0; sig < num_signatures; ++sig)
-            indexLut[sig] = computeIndices(sig);
-    }
-
-    /** Indices for @p signature: one LUT load when enableIndexCache
-     *  covers it, a live computeIndices otherwise. */
-    TableIndices
-    indicesFor(std::uint32_t signature) const
-    {
-        if (signature < indexLut.size()) [[likely]]
-            return indexLut[signature];
-        return computeIndices(signature);
-    }
-
     /** Read the three counters at @p idx. */
     std::array<std::uint8_t, numPredTables>
     readCounters(const TableIndices &idx) const
@@ -173,7 +148,6 @@ class PredictionTables
     std::uint8_t counterMax;
     unsigned indexBits;
     std::array<std::vector<std::uint8_t>, numPredTables> tables;
-    std::vector<TableIndices> indexLut; ///< per-signature index cache
 };
 
 } // namespace ghrp::predictor

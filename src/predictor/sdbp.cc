@@ -10,11 +10,6 @@ namespace ghrp::predictor
 SdbpReplacement::SdbpReplacement(const SdbpConfig &config)
     : cfg(config), bank(cfg.tableEntries, cfg.counterBits)
 {
-    // The partial-PC signature space is only 2^signatureBits wide:
-    // precompute every signature's skewed table indices once. Wider
-    // (unusual) configurations fall back to live index computation.
-    if (cfg.signatureBits <= 16)
-        bank.enableIndexCache(1u << cfg.signatureBits);
 }
 
 void
@@ -48,7 +43,7 @@ SdbpReplacement::samplerTag(Addr addr) const
 bool
 SdbpReplacement::predictDead(std::uint16_t sig) const
 {
-    return bank.sumVote(bank.indicesFor(sig), cfg.deadThreshold);
+    return bank.sumVote(bank.computeIndices(sig), cfg.deadThreshold);
 }
 
 void
@@ -74,7 +69,7 @@ SdbpReplacement::sampleAccess(const cache::AccessInfo &info)
         if (tags_row[w] == tag && ((valid >> w) & 1u) != 0) {
             // Reuse: the signature of the previous access to this
             // block did not lead to a dead block.
-            bank.train(bank.indicesFor(sigs_row[w]), false);
+            bank.train(bank.computeIndices(sigs_row[w]), false);
             sigs_row[w] = sig;
             samplerLru.touch(set, w);
             return;
@@ -90,7 +85,7 @@ SdbpReplacement::sampleAccess(const cache::AccessInfo &info)
         victim = static_cast<std::uint32_t>(std::countr_zero(invalid));
     } else {
         victim = samplerLru.lruWay(set);
-        bank.train(bank.indicesFor(sigs_row[victim]), true);
+        bank.train(bank.computeIndices(sigs_row[victim]), true);
     }
     samplerValid[set] = valid | (std::uint64_t{1} << victim);
     tags_row[victim] = tag;
@@ -104,7 +99,7 @@ SdbpReplacement::shouldBypass(const cache::AccessInfo &info)
     sampleAccess(info);
     if (!cfg.bypassEnabled)
         return false;
-    return bank.sumVote(bank.indicesFor(signatureFor(info)),
+    return bank.sumVote(bank.computeIndices(signatureFor(info)),
                         cfg.bypassThreshold);
 }
 

@@ -43,7 +43,9 @@ decodeImpl(Addr entry_pc, std::uint64_t n, std::uint32_t block_bytes,
 
     for (std::uint64_t i = 0; i < n; ++i) {
         const BranchRecord rec = read_record(i);
-        const Addr run_start = walker.currentPc();
+        // The walker resyncs to rec.pc when the record lies behind the
+        // fetch PC; the run then starts at the record itself.
+        const Addr run_start = std::min(walker.currentPc(), rec.pc);
         walker.advance(rec, [&](Addr block_addr) {
             if (block_addr == last_block)
                 return;

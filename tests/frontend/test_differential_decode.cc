@@ -8,6 +8,8 @@
 
 #include "frontend/frontend.hh"
 #include "trace/decoded_trace.hh"
+#include "trace/fetch_stream.hh"
+#include "util/random.hh"
 #include "workload/suite.hh"
 
 namespace
@@ -119,6 +121,46 @@ TEST(DecodedVsWalkerEdge, TinyHandBuiltTrace)
         expectIdentical(b.run(trace::decodeTrace(t, cfg.icache.blockBytes,
                                                  cfg.instBytes)),
                         a.runWalker(t), policyName(policy));
+    }
+}
+
+TEST(DecodedVsWalkerEdge, OutOfOrderRecordsResyncIdentically)
+{
+    // Hand-built trace where about a third of the records lie behind
+    // the fetch PC, so the walker resyncs at them. Both paths must
+    // fetch from the record's own block and feed GHRP the record's pc.
+    Rng rng(400);
+    trace::Trace t;
+    t.entryPc = 0x10000;
+    trace::FetchStreamWalker shadow(t.entryPc);
+    for (int i = 0; i < 400; ++i) {
+        const Addr fetch = shadow.currentPc();
+        trace::BranchRecord rec;
+        if (rng.nextBounded(3) == 0 && fetch > 0x10000 + 0x200)
+            rec.pc = fetch - 4 * (1 + rng.nextBounded(128));
+        else
+            rec.pc = fetch + 4 * rng.nextBounded(40);
+        rec.type = rng.nextBounded(2) == 0 ? trace::BranchType::CondDirect
+                                           : trace::BranchType::UncondDirect;
+        rec.taken = rec.type == trace::BranchType::UncondDirect ||
+                    rng.nextBounded(2) == 0;
+        rec.target = 0x10000 + 4 * rng.nextBounded(2048);
+        shadow.advance(rec, [](Addr) {});
+        t.records.push_back(rec);
+    }
+    ASSERT_GT(shadow.resyncs(), 50u);
+
+    FrontendConfig cfg;
+    cfg.icache = cache::CacheConfig::icache(1, 2);
+    cfg.btb = cache::CacheConfig::btb(64, 2);
+    cfg.warmupFraction = 0.0;
+    const trace::DecodedTrace dec =
+        trace::decodeTrace(t, cfg.icache.blockBytes, cfg.instBytes);
+    EXPECT_EQ(dec.resyncs, shadow.resyncs());
+    for (PolicyKind policy : allPolicies) {
+        cfg.policy = policy;
+        FrontendSim a(cfg), b(cfg);
+        expectIdentical(b.run(dec), a.runWalker(t), policyName(policy));
     }
 }
 
